@@ -8,12 +8,13 @@ split as qk = (qk-1) + 1/1).  A PLFT w has an analogous expansion
 
 produced by a division algorithm whose tail q is an orphan PLFT; the
 root of the tree containing w is q when k is even and 1/q when k is
-odd.  The same root can be found a second way, from the rational
-expansions of a/c and b/d alone: choose representations maximizing the
-shared prefix, peel it off column-wise, and the residual matrix is the
-tail.  Both routes are implemented and must agree with straight parent
-iteration; `orphan_root_cf` verifies its candidate by exact
-reconstruction before returning it.
+odd.  The quotients are the lengths of the runs of identical moves on
+the parent walk, so the expansion and the root walk share one loop,
+`plft.parent_runs`.  The same root can be found a second way, from the
+rational expansions of a/c and b/d alone: choose representations
+maximizing the shared prefix, peel it off column-wise, and the residual
+matrix is the tail.  The two routes must agree; `orphan_root_cf`
+verifies its candidate by exact reconstruction before returning it.
 
 Rational continued fractions are plain tuples of ints.  Words over
 {L, R} relate to expansions through `lr_on_cf`, and to membership in
@@ -28,7 +29,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InternalInvariantError
-from .plft import IDENTITY, LEFT, RIGHT, Move, Plft, Word, root_by_iteration
+from .plft import IDENTITY, LEFT, RIGHT, Move, Plft, Word, parent_runs, word_of_runs
 
 Quotients = tuple[int, ...]
 
@@ -154,45 +155,31 @@ def format_rational_cf(terms: Quotients) -> str:
     return f"[{terms[0]};{','.join(str(t) for t in terms[1:])}]"
 
 
-def _integer_part(w: Plft) -> int:
-    # min over the defined floors of a/c and b/d; a floor is undefined
-    # when its denominator coefficient is zero.
-    floors = []
-    if w.c:
-        floors.append(w.a // w.c)
-    if w.d:
-        floors.append(w.b // w.d)
-    return min(floors)
-
-
 def plft_cf_expand(w: Plft) -> PlftContinuedFraction:
     """Division-algorithm expansion of a PLFT.
 
-    Repeatedly subtract the integer part; once the remainder is an
-    orphan, stop with tail = reciprocal of the remainder, otherwise
-    invert and continue.  An orphan input expands to itself with no
-    quotients.  `evaluate_plft_cf` inverts this exactly.
+    Repeatedly subtract the integer part (the least defined floor of a/c
+    and b/d); once the remainder is an orphan, stop with tail = reciprocal
+    of the remainder, otherwise invert and continue.  An orphan input
+    expands to itself with no quotients.  `evaluate_plft_cf` inverts this
+    exactly.
+
+    The quotients are the run lengths of the parent walk, read as
+    alternating R, L, R, ... runs, and the tail is the root or its
+    reciprocal by parity, so both come from the one division loop in
+    `parent_runs`.
     """
-    if w.is_orphan:
-        return PlftContinuedFraction((), w)
-    quotients: list[int] = []
-    cur = w
-    while True:
-        q = _integer_part(cur)
-        remainder = Plft(cur.a - q * cur.c, cur.b - q * cur.d, cur.c, cur.d)
-        quotients.append(q)
-        if remainder.is_orphan:
-            return PlftContinuedFraction(tuple(quotients), remainder.reciprocal())
-        cur = remainder.reciprocal()
+    root, runs = parent_runs(w)
+    return PlftContinuedFraction(runs, root if len(runs) % 2 == 0 else root.reciprocal())
 
 
 def evaluate_plft_cf(cf: PlftContinuedFraction) -> Plft:
     """Multiply the expansion back out."""
-    node = cf.tail
+    t = cf.tail
+    a, b, c, d = t.a, t.b, t.c, t.d
     for q in reversed(cf.quotients):
-        flipped = node.reciprocal()
-        node = Plft(flipped.a + q * flipped.c, flipped.b + q * flipped.d, flipped.c, flipped.d)
-    return node
+        a, b, c, d = c + q * a, d + q * b, a, b
+    return Plft(a, b, c, d)
 
 
 def lr_on_cf(cf: PlftContinuedFraction, move: Move) -> PlftContinuedFraction:
@@ -373,12 +360,13 @@ def decompose_special(m: Plft) -> "Word | None":
     """Write m as a word over {L1, R1}, or None when impossible.
 
     The word satisfies ``apply_word(IDENTITY, word) == m``.  Membership
-    is decided by parent iteration; when c, d are nonzero and the
+    is decided by the parent walk, one run at a time, and the word is
+    spelled out only for members; when c, d are nonzero and the
     determinant is +-1 it is cross-checked against the expansion
     condition (one of a/c, b/d extends the other by one term in some
     representation pair, with determinant +1).
     """
-    root, word = root_by_iteration(m)
+    root, runs = parent_runs(m)
     in_monoid = root == IDENTITY
     if m.c != 0 and m.d != 0 and abs(m.det) == 1:
         expected = _prefix_extension_pair(m) and m.det == 1
@@ -386,7 +374,7 @@ def decompose_special(m: Plft) -> "Word | None":
             raise InternalInvariantError(
                 f"expansion condition and parent iteration disagree on {m.coeffs()}"
             )
-    return word if in_monoid else None
+    return word_of_runs(runs) if in_monoid else None
 
 
 RECIPROCAL_IDENTITY = Plft(0, 1, 1, 0)
@@ -450,15 +438,27 @@ def is_descendant_rational(ancestor: Fraction, target: Fraction) -> bool:
 
 
 def ancestors_of_rational(w: Fraction) -> list[Fraction]:
-    """Proper ancestors of w, nearest first, ending at the root 1/1."""
+    """Proper ancestors of w, nearest first, ending at the root 1/1.
+
+    The parent of p/q is (p-q)/q when p > q and p/(q-p) otherwise, so the
+    chain is a sequence of runs whose lengths are the quotients of
+    `cf_of_rational(w)`, the last one less one.  Each run is one integer
+    division, and only the Fractions that are output get built.
+    """
     w = Fraction(w)
     if w <= 0:
         raise ValueError("ancestors are defined for positive rationals")
+    p, q = w.numerator, w.denominator
     chain = []
-    while w != 1:
-        p, q = w.numerator, w.denominator
-        w = Fraction(p - q, q) if p > q else Fraction(p, q - p)
-        chain.append(w)
+    while p != q:
+        if p > q:
+            k = (p - 1) // q
+            chain += [Fraction(p - i * q, q) for i in range(1, k + 1)]
+            p -= k * q
+        else:
+            k = (q - 1) // p
+            chain += [Fraction(p, q - i * p) for i in range(1, k + 1)]
+            q -= k * p
     return chain
 
 

@@ -57,7 +57,10 @@ class GaussianRational:
         m = _GAUSSIAN_RE.match(text.strip().replace(" ", ""))
         if not m:
             raise ValueError(f"not of the form p/q+r/s*i: {text!r}")
-        return cls(Fraction(m.group(1)), Fraction(m.group(2)))
+        try:
+            return cls(Fraction(m.group(1)), Fraction(m.group(2)))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
 
     def __str__(self) -> str:
         sign = "+" if self.im >= 0 else ""

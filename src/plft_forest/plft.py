@@ -25,6 +25,7 @@ distinct positions in the forest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 LEFT = "L"
 RIGHT = "R"
@@ -69,7 +70,7 @@ class Plft:
     @property
     def is_orphan(self) -> bool:
         """True when this PLFT is not the left or right child of any PLFT."""
-        return (self.a < self.c and self.b > self.d) or (self.a > self.c and self.b < self.d)
+        return _orphan(self.a, self.b, self.c, self.d)
 
     def left_child(self) -> "Plft":
         """f/(f+1); as a matrix, L1 times self."""
@@ -173,25 +174,77 @@ def apply_word(root: Plft, word: Word) -> Plft:
     root and ``word[0]`` is the move nearest the resulting node.  The
     matrix of the result is the left-to-right product of the factors
     named by the word, times the root's matrix.
+
+    Each run of k identical moves is one multiplication, by
+    R1^k = [[1, k], [0, 1]] or L1^k = [[1, 0], [k, 1]], so the
+    arithmetic is per run, and one `Plft` is built at the end.  Raises
+    ValueError on a move other than 'L' or 'R'.
     """
-    node = root
-    for move in reversed(word):
-        node = node.child(move)
-    return node
+    a, b, c, d = root.a, root.b, root.c, root.d
+    for move, run in groupby(reversed(word)):
+        k = len(list(run))
+        if _check_move(move) == RIGHT:
+            a, b = a + k * c, b + k * d
+        else:
+            c, d = c + k * a, d + k * b
+    return Plft(a, b, c, d)
+
+
+def parent_runs(w: Plft) -> tuple[Plft, tuple[int, ...]]:
+    """Climb to the orphan root a whole run of parent steps at a time.
+
+    Returns (root, runs): the parent walk from w takes runs[0] R-steps,
+    then runs[1] L-steps, then runs[2] R-steps, and so on.  Only runs[0]
+    can be 0 (when the first step is L); an orphan gives ().
+
+    At [[a, b], [c, d]] an R-step subtracts the second row from the first
+    and applies while a >= c and b >= d, so a maximal R-run has length
+    min(a // c, b // d), taking only the floor whose divisor is nonzero
+    (c and d are never both zero, as the determinant stays nonzero).  The
+    walk swaps the rows after each run, so the next run, of L-steps, is
+    measured by the same floor.  This is the division algorithm of
+    `plft_cf_expand`: the runs are its partial quotients and the final
+    matrix is its tail.
+
+    Termination, run by run: a run is finite because each step lowers the
+    coefficient sum, and every run after the first has k >= 1, so the
+    sum falls with each run.  After the first run, each run is one step of
+    Euclid's algorithm on both columns at once (a column may take its last
+    quotient q as (q - 1) + 1), so there are at most two more runs than
+    terms in the shorter Euclidean expansion of a/c and b/d: O(bit size)
+    by Lame's theorem.  The walk stops at a matrix with no parent in either
+    orientation, since the orphan condition is symmetric under swapping
+    rows.
+    """
+    a, b, c, d = w.a, w.b, w.c, w.d
+    runs = []
+    while not _orphan(a, b, c, d):
+        k = min(a // c, b // d) if c and d else (a // c if c else b // d)
+        runs.append(k)
+        a, b, c, d = c, d, a - k * c, b - k * d
+    if not runs:
+        return w, ()
+    root = Plft(a, b, c, d) if len(runs) % 2 == 0 else Plft(c, d, a, b)
+    return root, tuple(runs)
 
 
 def root_by_iteration(w: Plft) -> tuple[Plft, Word]:
     """Climb the parent map until an orphan is reached.
 
-    Returns (root, word) with ``apply_word(root, word) == w``.  The walk
-    terminates because every parent step strictly decreases the
-    coefficient sum.
+    Returns (root, word) with ``apply_word(root, word) == w``; word[0] is
+    the first parent step taken from w.  The climb goes one maximal run
+    of identical moves at a time (see `parent_runs`), so it ends after
+    O(bit size) divisions, however long the runs are; the word itself is
+    then spelled out by repetition.
     """
-    word: list[Move] = []
-    node = w
-    while True:
-        up = node.parent()
-        if up is None:
-            return node, tuple(word)
-        node, move = up
-        word.append(move)
+    root, runs = parent_runs(w)
+    return root, word_of_runs(runs)
+
+
+def word_of_runs(runs: tuple[int, ...]) -> Word:
+    """Spell out alternating R, L, R, ... runs of the given lengths as a word."""
+    return tuple("".join((LEFT if i % 2 else RIGHT) * k for i, k in enumerate(runs)))
+
+
+def _orphan(a: int, b: int, c: int, d: int) -> bool:
+    return (a < c and b > d) or (a > c and b < d)

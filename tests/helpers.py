@@ -54,6 +54,21 @@ def positive_rationals(max_part=200):
 # oracles
 # ---------------------------------------------------------------------------
 
+def root_by_unary_walk(w: Plft):
+    """Climb ``Plft.parent()`` one step at a time: (root, word of moves taken).
+
+    The per-step route to the root, independent of the run-length
+    division loop.  Its cost grows with the size of the coefficients, so
+    use it on small inputs only.
+    """
+    word = []
+    node = w
+    while (up := node.parent()) is not None:
+        node, move = up
+        word.append(move)
+    return node, tuple(word)
+
+
 def nu2_brute(d: int) -> int:
     """Count partitions with exactly two distinct part sizes by enumeration.
 

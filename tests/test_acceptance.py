@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import rational_tree_paths, first_rows_rationals, nu2_brute
+from helpers import rational_tree_paths, first_rows_rationals, nu2_brute, root_by_unary_walk
 from plft_forest import (
     IDENTITY,
     LEFT,
@@ -128,13 +128,21 @@ def test_criterion_7_root_route_agreement():
             orphan = orphan.reciprocal()
         word = tuple(rng.choice((LEFT, RIGHT)) for _ in range(rng.randint(0, 50)))
         w = apply_word(orphan, word)
-        root_iter, _ = root_by_iteration(w)
+        root_iter, word_iter = root_by_iteration(w)
         cf = plft_cf_expand(w)
         tail_route = cf.tail if len(cf.quotients) % 2 == 0 else cf.tail.reciprocal()
         ok = ok and orphan_root_cf(w).root == root_iter == tail_route == orphan
+        # plft_cf_expand and root_by_iteration share one division loop, so
+        # the unary parent walk is the third route that is independent in fact
+        ok = ok and root_by_unary_walk(w) == (root_iter, word_iter) and word_iter == word
         if not ok:
             break
-    _report(7, "10^4 randomized PLFTs: all three root routes agree exactly", ok)
+    _report(
+        7,
+        "10^4 randomized PLFTs: unary parent walk, run-length walk and "
+        "rational-expansion route agree exactly on root and word",
+        ok,
+    )
 
 
 def test_criterion_8_word_decomposition():

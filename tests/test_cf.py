@@ -2,8 +2,17 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import rational_tree_paths, first_rows_rationals, orphans, plfts, positive_rationals, words
+from helpers import (
+    first_rows_rationals,
+    orphans,
+    plfts,
+    positive_rationals,
+    rational_tree_paths,
+    root_by_unary_walk,
+    words,
+)
 from plft_forest import (
     IDENTITY,
     LEFT,
@@ -183,8 +192,10 @@ def _normalized(w, report):
 def test_root_routes_agree(orphan, word):
     w = apply_word(orphan, word)
     report = orphan_root_cf(w)
-    root_iter, _ = root_by_iteration(w)
+    root_iter, word_iter = root_by_iteration(w)
     assert report.root == root_iter == orphan
+    # the unary parent walk, independent of the run-length division loop
+    assert root_by_unary_walk(w) == (root_iter, word_iter)
     # parity-adjusted tail of the plain expansion
     cf = plft_cf_expand(w)
     tail_route = cf.tail if len(cf.quotients) % 2 == 0 else cf.tail.reciprocal()
@@ -207,6 +218,12 @@ def test_decompose_special_examples():
     assert decompose_special(Plft(43, 10, 30, 7)) == parse_word("RLLRRRLLLL")
     assert decompose_special(IDENTITY) == ()
     assert decompose_special(Plft(1, 2, 2, 1)) is None
+
+
+@given(st.one_of(plfts(max_coeff=30), plfts(max_coeff=2000), words().map(lambda word: apply_word(IDENTITY, word))))
+def test_decompose_special_matches_unary_walk(m):
+    root, word = root_by_unary_walk(m)
+    assert decompose_special(m) == (word if root == IDENTITY else None)
 
 
 @given(words(max_size=20))

@@ -106,6 +106,7 @@ def test_cchain_csv_format(capsys):
         ("cchain", "nonsense"),       # unparseable complex number
         ("census", "--max", "0"),     # empty census
         ("series", "--points", "x"),  # malformed point list
+        ("corphan", "1/0+1*i"),       # zero denominator
     ],
 )
 def test_input_errors_exit_2(capsys, argv):

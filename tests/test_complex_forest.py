@@ -105,7 +105,7 @@ def test_gaussian_parse_and_str():
     assert str(z) == "1/4+1/4*i"
     assert str(GaussianRational.parse("2-3/7*i")) == "2-3/7*i"
     assert GaussianRational.parse(str(gr(Fraction(10, 4), 1))) == gr(Fraction(5, 2), 1)
-    for bad in ("1", "i", "23*i", "1+2", "1 + i"):
+    for bad in ("1", "i", "23*i", "1+2", "1 + i", "1/0+1*i", "1+2/0*i"):
         with pytest.raises(ValueError):
             GaussianRational.parse(bad)
 

@@ -2,9 +2,11 @@ from math import gcd
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import orphans, plfts, words
+from helpers import orphans, plfts, root_by_unary_walk, words
 from plft_forest import IDENTITY, LEFT, RIGHT, Plft, apply_word, format_word, parse_word, root_by_iteration
+from plft_forest.plft import parent_runs, word_of_runs
 
 
 @pytest.mark.parametrize(
@@ -76,6 +78,23 @@ def test_root_by_iteration_examples():
     root, word = root_by_iteration(Plft(43, 10, 30, 7))
     assert root == IDENTITY
     assert word == parse_word("RLLRRRLLLL")
+
+
+def test_parent_runs_examples():
+    # RLLRRRLLLL: the walk from w takes 1 R-step, 2 L, 3 R, then 4 L
+    assert parent_runs(Plft(43, 10, 30, 7)) == (IDENTITY, (1, 2, 3, 4))
+    assert word_of_runs((1, 2, 3, 4)) == parse_word("RLLRRRLLLL")
+    # a first L-step gives a leading empty R-run
+    assert parent_runs(Plft(1, 0, 1, 1)) == (IDENTITY, (0, 1))
+    assert word_of_runs((0, 1)) == (LEFT,)
+    # a zero coefficient leaves a single floor to take
+    assert parent_runs(Plft(1, 7, 0, 2)) == (Plft(1, 1, 0, 2), (3,))
+    assert parent_runs(Plft(1, 2, 2, 1)) == (Plft(1, 2, 2, 1), ())
+
+
+def test_apply_word_rejects_bad_move():
+    with pytest.raises(ValueError):
+        apply_word(IDENTITY, (RIGHT, "X", LEFT))
 
 
 def test_long_words_stay_exact():
@@ -152,6 +171,20 @@ def test_child_of_parent_restores(w):
     if up is not None:
         parent, move = up
         assert parent.child(move) == w
+
+
+@given(orphans(), words())
+def test_apply_word_matches_child_steps(orphan, word):
+    node = orphan
+    for move in reversed(word):
+        node = node.child(move)
+    assert apply_word(orphan, word) == node
+
+
+@given(st.one_of(plfts(max_coeff=30), plfts(max_coeff=2000)))
+def test_root_by_iteration_matches_unary_walk(w):
+    # small coefficients make the zero-coefficient floors common
+    assert root_by_iteration(w) == root_by_unary_walk(w)
 
 
 @given(orphans(), words())
