@@ -1,24 +1,23 @@
 #!/usr/bin/env python3
 """Emit the census and series tables as CSV files.
 
-Produces three files in --out-dir:
+Produces three files in --out-dir, each written by the matching
+`plft-forest` subcommand:
 
   census.csv     D,nu2,sigma,tau,h            (one row per determinant)
   summatory.csv  x,summatory,reference,ratio  (summatory vs x^2 log^2 x / 4)
   aux.csv        x,sum,reference,ratio        (double harmonic sum vs log^2 x / 2)
 
 The census rows are verified three ways while being produced, so this
-doubles as a slow self-check for larger --max values.
+doubles as a slow self-check for larger --max values.  The exit status
+is that of the first subcommand that fails, else 0.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
-from plft_forest import harmonic_double_sum_reference, harmonic_double_sum, census_rows, ratio_series
-
-
-def parse_points(text):
-    return [int(p) for p in text.split(",") if p.strip()]
+from plft_forest import cli
 
 
 def main():
@@ -31,26 +30,18 @@ def main():
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    lines = ["D,nu2,sigma,tau,h"]
-    for row in census_rows(args.max):
-        lines.append(f"{row.D},{row.nu2},{row.sigma},{row.tau},{row.h_closed}")
-    (out / "census.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {out / 'census.csv'} ({args.max} rows, three routes cross-checked)")
-
-    lines = ["x,summatory,reference,ratio"]
-    for point in ratio_series(parse_points(args.points)):
-        lines.append(f"{point.x},{point.summatory},{point.reference!r},{point.ratio!r}")
-    (out / "summatory.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {out / 'summatory.csv'}")
-
-    lines = ["x,sum,reference,ratio"]
-    for x in parse_points(args.aux_points):
-        total, ref = harmonic_double_sum(x), harmonic_double_sum_reference(x)
-        lines.append(f"{x},{total!r},{ref!r},{total / ref!r}")
-    (out / "aux.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {out / 'aux.csv'}")
+    jobs = [
+        ("census.csv", ["census", "--max", str(args.max)]),
+        ("summatory.csv", ["series", "--points", args.points]),
+        ("aux.csv", ["aux", "--points", args.aux_points]),
+    ]
+    for name, argv in jobs:
+        status = cli.main([*argv, "--out", str(out / name)])
+        if status:
+            return status
+        print(f"wrote {out / name}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -22,23 +22,25 @@ and of B serves as the part size gives
 
     sum_{A+B=D} tau(A)*tau(B)  =  2*nu2(D) + sigma(D) - tau(D),
 
-where the diagonal (equal part sizes) contributes sigma - tau.  The
-convolution is integer numpy work, which keeps the summatory function
-tractable to x = 10^4 and beyond in pure Python; a brute-force
-partition enumerator in the test suite pins the identity down.
+where the diagonal (equal part sizes) contributes sigma - tau.  A
+brute-force partition enumerator in the test suite pins the identity
+down.  Summed over D <= x the convolution becomes
+
+    sum_{A+B<=x} tau(A)*tau(B)  =  sum_{A<x} tau(A)*T(x-A),
+
+with T the prefix sum of tau, so the summatory function takes O(x)
+exact integer steps once the sieves reach x.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import accumulate
+from operator import mul
 
 from .errors import InternalInvariantError
 from .plft import Plft
-
-_MAX_INT64 = np.iinfo(np.int64).max
 
 
 # ---------------------------------------------------------------------------
@@ -47,23 +49,21 @@ _MAX_INT64 = np.iinfo(np.int64).max
 
 # Caches are swapped in as whole objects (single reference assignment),
 # so concurrent readers always see a consistent tau/sigma pair.
-_sieve_cache: tuple[np.ndarray, np.ndarray] = (
-    np.zeros(1, dtype=np.int64),
-    np.zeros(1, dtype=np.int64),
-)
+_sieve_cache: tuple[list[int], list[int]] = ([0], [0])
 _divisor_lists: list[list[int]] = [[]]
 
 
-def _sieves(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _sieves(n: int) -> tuple[list[int], list[int]]:
     """tau[0..n] and sigma[0..n] (index 0 unused)."""
     global _sieve_cache
     cache = _sieve_cache
     if len(cache[0]) <= n:
-        tau = np.zeros(n + 1, dtype=np.int64)
-        sigma = np.zeros(n + 1, dtype=np.int64)
+        tau = [0] * (n + 1)
+        sigma = [0] * (n + 1)
         for d in range(1, n + 1):
-            tau[d::d] += 1
-            sigma[d::d] += d
+            for multiple in range(d, n + 1, d):
+                tau[multiple] += 1
+                sigma[multiple] += d
         cache = (tau, sigma)
         _sieve_cache = cache
     return cache
@@ -127,8 +127,8 @@ def nu2(d: int) -> int:
     """
     _check_positive(d)
     tau, sigma = _sieves(d)
-    conv = int(np.dot(tau[1:d], tau[d - 1:0:-1])) if d >= 2 else 0
-    paired = conv + int(tau[d]) - int(sigma[d])
+    conv = sum(map(mul, tau[1:d], tau[d - 1:0:-1]))
+    paired = conv + tau[d] - sigma[d]
     if paired % 2:
         raise InternalInvariantError(f"odd distinct-size pair count {paired} at D={d}")
     return paired // 2
@@ -239,27 +239,26 @@ def census_rows(dmax: int) -> list[CensusRow]:
 # summatory function and series data
 # ---------------------------------------------------------------------------
 
-def _h_values(x: int) -> np.ndarray:
-    """h(1..x) as an int64 array, batched through one convolution."""
-    tau, sigma = _sieves(x)
-    tau = tau[: x + 1]
-    sigma = sigma[: x + 1]
-    if x * int(tau.max()) ** 2 > _MAX_INT64:
-        raise ValueError(f"x={x} is too large for exact int64 convolution")
-    t = tau[1:]
-    conv = np.convolve(t, t)
-    paired = np.zeros(x + 1, dtype=np.int64)
-    paired[2:] = conv[: x - 1]
-    paired[1:] += tau[1:] - sigma[1:]
-    if np.any(paired[1:] % 2):
-        raise InternalInvariantError("odd distinct-size pair count in batched census")
-    return paired[1:] // 2 + 2 * sigma[1:] - tau[1:]
+def _summatory(xs: list[int]) -> list[int]:
+    """sum_{D<=x} h(D) for each x in xs, by the prefix-sum identity in the module docstring."""
+    top = max(xs)
+    tau, sigma = _sieves(top)
+    tau_prefix = list(accumulate(tau[: top + 1]))
+    sums = []
+    for x in xs:
+        conv = sum(map(mul, tau[1:x], tau_prefix[x - 1:0:-1]))
+        sigma_sum = sum(sigma[1:x + 1])
+        paired = conv + tau_prefix[x] - sigma_sum
+        if paired % 2:
+            raise InternalInvariantError(f"odd distinct-size pair count {paired} summed to x={x}")
+        sums.append(paired // 2 + 2 * sigma_sum - tau_prefix[x])
+    return sums
 
 
 def summatory_h(x: int) -> int:
     """Exact sum of h(D) over D <= x."""
     _check_positive(x)
-    return int(_h_values(x).sum())
+    return _summatory([x])[0]
 
 
 @dataclass(frozen=True)
@@ -278,10 +277,8 @@ def ratio_series(xs: list[int]) -> list[SeriesPoint]:
         return []
     for x in xs:
         _check_positive(x)
-    partial = np.cumsum(_h_values(max(xs)))
     points = []
-    for x in xs:
-        s = int(partial[x - 1])
+    for x, s in zip(xs, _summatory(xs)):
         reference = 0.25 * x * x * math.log(x) ** 2
         ratio = s / reference if reference > 0 else math.inf
         points.append(SeriesPoint(x=x, summatory=s, reference=reference, ratio=ratio))
@@ -292,14 +289,15 @@ def harmonic_double_sum(x: int) -> float:
     """The double sum of 1/(a*(a-c)) over 1 <= c <= x-1, c < a <= x.
 
     Grows like log(x)^2 / 2; `harmonic_double_sum_reference` gives that comparison
-    value.  Floating point, evaluated term by term.
+    value.  Floating point, in O(x) steps: for fixed a the inner sum over c
+    is H_{a-1}/a, with H the harmonic numbers.
     """
     if x < 2:
         raise ValueError(f"need x >= 2, got {x}")
-    total = 0.0
-    for c in range(1, x):
-        a = np.arange(c + 1, x + 1, dtype=np.float64)
-        total += float(np.sum(1.0 / (a * (a - c))))
+    total = harmonic = 0.0
+    for a in range(2, x + 1):
+        harmonic += 1.0 / (a - 1)
+        total += harmonic / a
     return total
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,6 @@ from plft_forest import (
     ratio_series,
     summatory_h,
 )
-from plft_forest.census import _h_values
 
 HVALS = [1, 4, 7, 13, 15, 26, 25, 39, 40, 54, 49, 79, 63, 88, 88]
 
@@ -107,12 +107,12 @@ def test_summatory_examples():
 
 
 def test_summatory_matches_per_value_route():
-    values = _h_values(300)
     total = 0
     for d in range(1, 301):
         total += h_closed(d)
-        assert int(values[: d].sum()) == total
-    assert summatory_h(300) == total
+        assert summatory_h(d) == total, f"x={d}"
+    assert [p.summatory for p in ratio_series([300, 7, 300])] == [total, summatory_h(7), total]
+    assert summatory_h(10**5) == 323128569620
 
 
 def test_summatory_monotone_and_h_positive():
@@ -142,6 +142,12 @@ def test_harmonic_double_sum_values():
     assert closer < farther
     with pytest.raises(ValueError):
         harmonic_double_sum(1)
+
+
+def test_harmonic_double_sum_against_definition():
+    for x in range(2, 41):
+        exact = sum(Fraction(1, a * (a - c)) for c in range(1, x) for a in range(c + 1, x + 1))
+        assert math.isclose(harmonic_double_sum(x), exact, rel_tol=1e-12), f"x={x}"
 
 
 @settings(deadline=None)

@@ -1,9 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from plft_forest import census_rows
 from plft_forest.cli import main
 
 HVALS = [1, 4, 7, 13, 15, 26, 25, 39, 40, 54, 49, 79, 63, 88, 88]
+REPO = Path(__file__).resolve().parents[1]
+
+
+def run_python(*argv, cwd=None):
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
 
 
 def run(capsys, *argv):
@@ -113,6 +124,47 @@ def test_input_errors_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "error:" in err
+
+
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "root", "7,8,4,5", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
+def test_cli_import_loads_only_the_standard_library():
+    code = (
+        "import sys; before = set(sys.modules); import plft_forest.cli; "
+        "print(sorted({n.partition('.')[0] for n in set(sys.modules) - before} - set(sys.stdlib_module_names)))"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['plft_forest']\n"
+
+
+def test_figure_data_script(tmp_path):
+    script = str(REPO / "scripts" / "figure_data.py")
+    proc = run_python(script, "--out-dir", str(tmp_path), "--max", "15", "--points", "15,100",
+                      "--aux-points", "2,100")
+    assert proc.returncode == 0, proc.stderr
+    census = (tmp_path / "census.csv").read_text(encoding="utf-8").splitlines()
+    assert census[0] == "D,nu2,sigma,tau,h"
+    assert [int(line.split(",")[4]) for line in census[1:]] == HVALS
+    summatory = (tmp_path / "summatory.csv").read_text(encoding="utf-8").splitlines()
+    assert summatory[0] == "x,summatory,reference,ratio"
+    assert summatory[1].startswith("15,591,")
+    assert len(summatory) == 3
+    aux = (tmp_path / "aux.csv").read_text(encoding="utf-8").splitlines()
+    assert aux[1].startswith("2,0.5,")
+
+    bad = run_python(script, "--out-dir", str(tmp_path / "bad"), "--max", "15", "--points", "x")
+    assert bad.returncode == 2
+    assert "error:" in bad.stderr
+    assert "Traceback" not in bad.stderr
 
 
 def test_unknown_command_usage_error(capsys):
