@@ -7,10 +7,18 @@ independent routes are provided:
   * h_closed   -- nu2(D) + 2*sigma(D) - tau(D), where nu2 counts the
                   partitions of D using exactly two distinct part sizes
                   and sigma/tau are the divisor sum and count;
-  * h_direct   -- the double sum over matrix entries b, c >= 0 with
-                  b + c < D of the divisor pairs of D + b*c lying in
-                  the orphan cone a > c, d > b;
-  * enumerate_orphans -- literally building the matrices.
+  * h_direct   -- the double sum over the entries b, c >= 0 with
+                  b + c < D of the divisors a of D + b*c that put the
+                  matrix in the orphan cone a > c, d > b, found by
+                  trial division over the window of a that the cone
+                  allows;
+  * enumerate_orphans -- building the matrices from the column
+                  differences p = a - c, q = d - b >= 1, which turn
+                  the determinant into p*q + p*b + q*c = D, so that
+                  for each p, q the entry b runs over one residue
+                  class and c follows from it.
+
+The three share no loop and no table.
 
 The summatory function of h grows like x^2 * log(x)^2 / 4; the series
 helpers emit the data behind that comparison, and `harmonic_double_sum` is the
@@ -44,13 +52,12 @@ from .plft import Plft
 
 
 # ---------------------------------------------------------------------------
-# sieves (grow-on-demand module caches)
+# sieves (grow-on-demand module cache)
 # ---------------------------------------------------------------------------
 
-# Caches are swapped in as whole objects (single reference assignment),
+# The cache is swapped in as a whole object (single reference assignment),
 # so concurrent readers always see a consistent tau/sigma pair.
 _sieve_cache: tuple[list[int], list[int]] = ([0], [0])
-_divisor_lists: list[list[int]] = [[]]
 
 
 def _sieves(n: int) -> tuple[list[int], list[int]]:
@@ -67,17 +74,6 @@ def _sieves(n: int) -> tuple[list[int], list[int]]:
         cache = (tau, sigma)
         _sieve_cache = cache
     return cache
-
-
-def _divisors_upto(n: int) -> list[list[int]]:
-    global _divisor_lists
-    if len(_divisor_lists) <= n:
-        lists: list[list[int]] = [[] for _ in range(n + 1)]
-        for d in range(1, n + 1):
-            for multiple in range(d, n + 1, d):
-                lists[multiple].append(d)
-        _divisor_lists = lists
-    return _divisor_lists
 
 
 def _check_positive(d: int) -> int:
@@ -146,28 +142,21 @@ def h_closed(d: int) -> int:
     return nu2(d) + 2 * divisor_sigma(d) - divisor_tau(d)
 
 
-def _entry_bound(d: int) -> int:
-    # b + c <= d - 1 is forced for orphans of determinant d, so the
-    # products b*c, and with them D + b*c, are bounded.
-    half = (d - 1) // 2
-    return d + half * (d - 1 - half)
-
-
 def h_direct(d: int) -> int:
     """Orphan count by direct summation over the (b, c) grid.
 
-    For each b, c >= 0 with b + c < d, counts divisor pairs
-    a * d' = D + b*c with a > c and d' > b.
+    For each b, c >= 0 with b + c < d, counts the divisors a of
+    n = D + b*c with a > c and n/a > b.  The second condition is
+    b*(a - c) < D, so only a in c < a <= c + (D-1)//b (a <= D when
+    b = 0) need be tested for dividing n.
     """
     _check_positive(d)
-    divisors = _divisors_upto(_entry_bound(d))
     count = 0
     for b in range(d):
         for c in range(d - b):
             n = d + b * c
-            for a in divisors[n]:
-                if a > c and n // a > b:
-                    count += 1
+            top = c + (d - 1) // b if b else d
+            count += sum(1 for a in range(c + 1, top + 1) if n % a == 0)
     return count
 
 
@@ -175,18 +164,25 @@ def enumerate_orphans(d: int) -> list[Plft]:
     """All orphans with determinant d in the a > c, b < d' cone.
 
     (The opposite cone holds their reciprocals, with determinant -d.)
-    The list has exactly h_closed(d) members; order is by (b, c, a).
+    Writing a = c + p and d' = b + q with p, q >= 1 turns the
+    determinant into p*q + p*b + q*c = D.  For each p, q with p*q <= D
+    the admissible b form one residue class modulo q/gcd(p, q), and c
+    follows from b.  The list has exactly h_closed(d) members; order
+    is by (a - c, d' - b, b).
     """
     _check_positive(d)
-    divisors = _divisors_upto(_entry_bound(d))
     found = []
-    for b in range(d):
-        for c in range(d - b):
-            n = d + b * c
-            for a in divisors[n]:
-                dd = n // a
-                if a > c and dd > b:
-                    found.append(Plft(a, b, c, dd))
+    for p in range(1, d + 1):
+        for q in range(1, d // p + 1):
+            rest = d - p * q
+            g = math.gcd(p, q)
+            if rest % g:
+                continue
+            step = q // g
+            first = (rest // g) * pow(p // g, -1, step) % step
+            for b in range(first, rest // p + 1, step):
+                c = (rest - p * b) // q
+                found.append(Plft(c + p, b, c, b + q))
     return found
 
 

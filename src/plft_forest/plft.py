@@ -106,15 +106,6 @@ class Plft:
         """f(1/z), i.e. the columns swapped."""
         return Plft(self.b, self.a, self.d, self.c)
 
-    def compose(self, other: "Plft") -> "Plft":
-        """self after other (the matrix product self @ other)."""
-        return Plft(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
     # -- text forms -------------------------------------------------------
 
     @classmethod

@@ -88,6 +88,24 @@ def nu2_brute(d: int) -> int:
     return count
 
 
+def orphans_by_definition(d: int) -> set:
+    """Orphans of determinant d in the a > c, d' > b cone, by a literal scan.
+
+    Bound on the scan: a > c and d' > b give a >= c + 1 and d' >= b + 1,
+    so D = a*d' - b*c >= (c+1)*(b+1) - b*c = b + c + 1, that is
+    b + c <= D - 1.  Then b*c <= (D-1)**2 / 4, and a*d' = D + b*c bounds
+    a and d' by D + (D-1)**2 // 4 as well.  Every entry is scanned over
+    0..that bound and only the determinant and the cone are tested.
+    The scan is quartic in that bound, so use it for small d only.
+    """
+    top = range(d + (d - 1) ** 2 // 4 + 1)
+    return {
+        Plft(a, b, c, dd)
+        for a in top for b in top for c in top for dd in top
+        if a * dd - b * c == d and a > c and dd > b
+    }
+
+
 def iter_partitions(d: int, largest=None):
     """All partitions of d in (part, multiplicity) form, largest part first."""
     if largest is None:

@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import iter_partitions, nu2_brute
+from helpers import iter_partitions, nu2_brute, orphans_by_definition
 from plft_forest import (
     Plft,
     harmonic_double_sum_reference,
@@ -22,6 +26,7 @@ from plft_forest import (
 )
 
 HVALS = [1, 4, 7, 13, 15, 26, 25, 39, 40, 54, 49, 79, 63, 88, 88]
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_divisor_functions_examples():
@@ -90,9 +95,32 @@ def test_enumerate_orphans_small():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 13, 20])
 def test_enumerate_orphans_are_orphans_with_determinant(d):
-    for w in enumerate_orphans(d):
+    found = enumerate_orphans(d)
+    assert len(set(found)) == len(found)
+    for w in found:
         assert w.is_orphan
         assert w.det == d
+        assert w.a > w.c and w.d > w.b
+
+
+def test_enumerate_orphans_equals_definition():
+    for d in range(1, 8):
+        assert set(enumerate_orphans(d)) == orphans_by_definition(d), f"D={d}"
+
+
+@pytest.mark.parametrize("route, bound_kib", [("h_direct", 64), ("enumerate_orphans", 2048)])
+def test_route_memory_at_300(route, bound_kib):
+    # A fresh process, because module caches grown by earlier tests in
+    # this one would hide what a cold call allocates.  The enumerator's
+    # bound is dominated by its 7,819-element result.
+    code = (
+        "import tracemalloc; from plft_forest import census; tracemalloc.start(); "
+        f"census.{route}(300); print(tracemalloc.get_traced_memory()[1])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < bound_kib * 1024
 
 
 def test_three_routes_agree_to_sixty():
