@@ -61,10 +61,15 @@ _sieve_cache: tuple[list[int], list[int]] = ([0], [0])
 
 
 def _sieves(n: int) -> tuple[list[int], list[int]]:
-    """tau[0..n] and sigma[0..n] (index 0 unused)."""
+    """tau[0..n] and sigma[0..n] (index 0 unused), or longer lists.
+
+    A rebuild at least doubles the cache, so asking for n = 1, 2, 3, ...
+    in turn builds O(log n) times.
+    """
     global _sieve_cache
     cache = _sieve_cache
     if len(cache[0]) <= n:
+        n = max(n, 2 * len(cache[0]))
         tau = [0] * (n + 1)
         sigma = [0] * (n + 1)
         for d in range(1, n + 1):

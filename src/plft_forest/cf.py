@@ -11,10 +11,14 @@ root of the tree containing w is q when k is even and 1/q when k is
 odd.  The quotients are the lengths of the runs of identical moves on
 the parent walk, so the expansion and the root walk share one loop,
 `plft.parent_runs`.  The same root can be found a second way, from the
-rational expansions of a/c and b/d alone: choose representations
-maximizing the shared prefix, peel it off column-wise, and the residual
-matrix is the tail.  The two routes must agree; `orphan_root_cf`
-verifies its candidate by exact reconstruction before returning it.
+rational expansions of a/c and b/d alone: for a pair of their standard
+representations, peel the shared prefix and the pivot off column-wise,
+and the residual matrix is the tail.  `orphan_root_cf` returns the first
+verified pair, the first whose tail is an orphan and whose expansion
+multiplies back out to the input exactly.  No other pair could give a
+different answer: a verified pair writes the input as R^q0 L^q1 ...
+applied to an orphan, and the parent walk, which is unique, then climbs
+exactly those runs to exactly that orphan.  The two routes must agree.
 
 Rational continued fractions are plain tuples of ints.  Words over
 {L, R} relate to expansions through `lr_on_cf`, and to membership in
@@ -29,7 +33,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InternalInvariantError
-from .plft import IDENTITY, LEFT, RIGHT, Move, Plft, Word, parent_runs, word_of_runs
+from .plft import IDENTITY, LEFT, RIGHT, Move, Plft, Word, _orphan, parent_runs, word_of_runs
 
 Quotients = tuple[int, ...]
 
@@ -213,23 +217,17 @@ def lr_on_cf(cf: PlftContinuedFraction, move: Move) -> PlftContinuedFraction:
 class RootReport:
     """Result of the continued-fraction route to the orphan root.
 
-    ``cf`` is the expansion of the PLFT after the recorded
-    pre-normalizations (reciprocal_applied: rows were swapped because
-    c = 0 or d = 0; columns_swapped: z was replaced by 1/z because the
-    expansion of a/c was shorter than that of b/d).  ``root`` is always
-    expressed in the original variable.  ``inverted`` says whether the
-    normalized root is the reciprocal of the tail (k odd) or the tail
-    itself (k even); ``p`` is the final pivot quotient, 0 for orphan
-    input.
+    ``cf`` is the verified expansion of the PLFT after the one
+    pre-normalization, the reciprocal taken when c = 0 or d = 0
+    (``reciprocal_applied``), and it equals `plft_cf_expand` of that PLFT.
+    Its last quotient is the pivot, and the normalized root is its tail,
+    or the tail's reciprocal when the number of quotients is odd.
+    ``root`` is always expressed in the original variable.
     """
 
     root: Plft
-    inverted: bool
     cf: PlftContinuedFraction
-    k: int
-    p: int
     reciprocal_applied: bool = False
-    columns_swapped: bool = False
 
 
 def _residual_column(terms: Quotients, shared: int, pivot: int, scale: int) -> tuple[int, int]:
@@ -246,42 +244,31 @@ def _residual_column(terms: Quotients, shared: int, pivot: int, scale: int) -> t
 def orphan_root_cf(w: Plft) -> RootReport:
     """Locate the orphan root from the expansions of a/c and b/d.
 
-    After pre-normalizing (reciprocal when c = 0 or d = 0, column swap
-    when the expansion of a/c is the shorter one), every pair drawn from
-    the two standard representations of a/c and of b/d is scored by the
-    shared prefix length k and pivot p.  The winning pair's residual
-    columns form the tail candidate, scaled per column by gcd(a, c) and
-    gcd(b, d); a candidate only counts if it is an orphan and
-    multiplying the expansion back out reproduces the input exactly.
-    Pairs tying on (k, p) can differ in validity, so the candidates are
-    tried best-first with canonical representations preferred.
+    After the reciprocal pre-normalization (when c = 0 or d = 0), the
+    pairs drawn from the two standard representations of a/c and of b/d
+    are tried in order, canonical first.  A pair's shared prefix plus its
+    pivot, the smaller of the first differing terms, are the candidate
+    quotients, and its residual columns, scaled by gcd(a, c) and
+    gcd(b, d), are the reciprocal of the candidate tail.  The first pair
+    whose tail is an orphan and whose expansion multiplies back out to
+    the input exactly is the answer: it writes the input as
+    R^q0 L^q1 ... applied to an orphan, and since the parent walk is
+    unique, that orphan is the root and the quotients are the walk's runs,
+    whichever pair produced them.
     """
     if w.is_orphan:
-        return RootReport(root=w, inverted=False, cf=PlftContinuedFraction((), w), k=0, p=0)
+        return RootReport(root=w, cf=PlftContinuedFraction((), w))
 
-    v = w
-    reciprocal_applied = v.c == 0 or v.d == 0
-    if reciprocal_applied:
-        v = v.reciprocal()
-    columns_swapped = len(_cf_of_nonneg(*_reduced(v.a, v.c))) < len(_cf_of_nonneg(*_reduced(v.b, v.d)))
-    if columns_swapped:
-        v = v.swap_columns()
-
+    reciprocal_applied = w.c == 0 or w.d == 0
+    v = w.reciprocal() if reciprocal_applied else w
     g_ac = gcd(v.a, v.c)
     g_bd = gcd(v.b, v.d)
-    top = _variant_list(v.a, v.c)
-    bottom = _variant_list(v.b, v.d)
-
-    best: "tuple[tuple[int, int, int], Plft, Quotients, Plft] | None" = None
-    order = 0
-    for qa in top:
-        for qb in bottom:
-            order -= 1
+    for qa in _variant_list(v.a, v.c):
+        for qb in _variant_list(v.b, v.d):
+            # qa != qb, as a/c = b/d would make the determinant zero
             shared = 0
             while shared < len(qa) and shared < len(qb) and qa[shared] == qb[shared]:
                 shared += 1
-            if shared == len(qa) and shared == len(qb):
-                continue
             if shared == len(qa):
                 pivot = qb[shared]
             elif shared == len(qb):
@@ -290,51 +277,28 @@ def orphan_root_cf(w: Plft) -> RootReport:
                 pivot = min(qa[shared], qb[shared])
             if pivot < 1:
                 continue
-            k = shared + 1
             a1, c1 = _residual_column(qa, shared, pivot, g_ac)
             b1, d1 = _residual_column(qb, shared, pivot, g_bd)
-            if a1 * d1 == b1 * c1:
+            # an orphan's determinant is never zero, so Plft accepts it
+            if not _orphan(a1, b1, c1, d1):
                 continue
-            candidate = Plft(a1, b1, c1, d1)
-            if not candidate.is_orphan:
+            cf = PlftContinuedFraction(qa[:shared] + (pivot,), Plft(c1, d1, a1, b1))
+            if evaluate_plft_cf(cf) != v:
                 continue
-            tail = candidate.reciprocal()
-            quotients = qa[:shared] + (pivot,)
-            if evaluate_plft_cf(PlftContinuedFraction(quotients, tail)) != v:
-                continue
-            key = (k, pivot, order)
-            if best is None or key > best[0]:
-                best = (key, candidate, quotients, tail)
+            # the root is the tail's reciprocal for an odd number of
+            # quotients, and the reciprocal again undoes the pre-normalization
+            odd = len(cf.quotients) % 2 == 1
+            root = cf.tail.reciprocal() if odd != reciprocal_applied else cf.tail
+            return RootReport(root=root, cf=cf, reciprocal_applied=reciprocal_applied)
 
-    if best is None:
-        raise InternalInvariantError(
-            f"no representation pair for {w.coeffs()} yields a verified orphan tail"
-        )
-    (k, pivot, _), candidate, quotients, tail = best
-    inverted = k % 2 == 1
-    root = candidate if inverted else tail
-    if columns_swapped:
-        root = root.swap_columns()
-    if reciprocal_applied:
-        root = root.reciprocal()
-    return RootReport(
-        root=root,
-        inverted=inverted,
-        cf=PlftContinuedFraction(quotients, tail),
-        k=k,
-        p=pivot,
-        reciprocal_applied=reciprocal_applied,
-        columns_swapped=columns_swapped,
+    raise InternalInvariantError(
+        f"no representation pair for {w.coeffs()} yields a verified orphan tail"
     )
 
 
-def _reduced(n: int, d: int) -> tuple[int, int]:
-    g = gcd(n, d)
-    return n // g, d // g
-
-
 def _variant_list(n: int, d: int) -> list[Quotients]:
-    canonical, alternate = _ordered_variants(_cf_of_nonneg(*_reduced(n, d)))
+    # Euclid's quotients do not change when n and d share a factor.
+    canonical, alternate = _ordered_variants(_cf_of_nonneg(n, d))
     return [canonical] if alternate is None else [canonical, alternate]
 
 

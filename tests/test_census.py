@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import iter_partitions, nu2_brute, orphans_by_definition
+from plft_forest import census as census_module
 from plft_forest import (
     Plft,
     harmonic_double_sum_reference,
@@ -64,6 +65,20 @@ def test_nu2_against_full_partition_iteration():
     for d in range(1, 26):
         expected = sum(1 for parts in iter_partitions(d) if len(parts) == 2)
         assert nu2(d) == expected, f"D={d}"
+
+
+def test_sieve_grows_geometrically(monkeypatch):
+    # Asking for D = 1, 2, 3, ... in turn must not rebuild the sieve for
+    # every new D; each rebuild swaps in a new cache object.
+    monkeypatch.setattr(census_module, "_sieve_cache", ([0], [0]))
+    builds = 0
+    cache = census_module._sieve_cache
+    for d in range(1, 1001):
+        nu2(d)
+        if census_module._sieve_cache is not cache:
+            builds += 1
+            cache = census_module._sieve_cache
+    assert builds <= 12
 
 
 def test_h_closed_table_values():

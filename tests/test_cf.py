@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from helpers import (
     root_by_unary_walk,
     words,
 )
+from plft_forest import cf as cf_module
 from plft_forest import (
     IDENTITY,
     LEFT,
@@ -172,19 +174,16 @@ def test_orphan_root_cf_matches_iteration_on_dense_example():
 def test_orphan_root_cf_records_pre_normalizations():
     report = orphan_root_cf(Plft(7, 1, 5, 0))
     assert report.reciprocal_applied
-    report = orphan_root_cf(Plft(10, 43, 7, 30))
-    assert report.columns_swapped
 
 
 def test_orphan_root_cf_on_orphan_is_trivial():
     w = Plft(1, 2, 2, 1)
     report = orphan_root_cf(w)
-    assert report.root == w and report.k == 0 and not report.inverted
+    assert report.root == w and report.cf.quotients == ()
 
 
 def _normalized(w, report):
-    v = w.reciprocal() if report.reciprocal_applied else w
-    return v.swap_columns() if report.columns_swapped else v
+    return w.reciprocal() if report.reciprocal_applied else w
 
 
 @given(orphans(), words())
@@ -201,15 +200,39 @@ def test_root_routes_agree(orphan, word):
     tail_route = cf.tail if len(cf.quotients) % 2 == 0 else cf.tail.reciprocal()
     assert tail_route == root_iter
     # report invariants: the normalized root is the tail or its reciprocal,
-    # and the reported expansion reconstructs the normalized input
-    root_norm = report.cf.tail.reciprocal() if report.inverted else report.cf.tail
+    # and the reported expansion is the plain expansion of the normalized
+    # input and reconstructs it
+    odd = len(report.cf.quotients) % 2 == 1
+    root_norm = report.cf.tail.reciprocal() if odd else report.cf.tail
     v = _normalized(w, report)
+    assert report.cf == plft_cf_expand(v)
     assert evaluate_plft_cf(report.cf) == v
-    if report.columns_swapped:
-        root_norm = root_norm.swap_columns()
     if report.reciprocal_applied:
         root_norm = root_norm.reciprocal()
     assert root_norm == report.root
+
+
+def test_orphan_root_cf_exhaustive_small_entries(monkeypatch):
+    # Every PLFT with entries 0..10: the root agrees with the unary walk,
+    # the reported expansion is the plain one of the normalized input, and
+    # a non-orphan costs exactly one reconstruction.
+    evaluations = 0
+
+    def counting_evaluate(cf):
+        nonlocal evaluations
+        evaluations += 1
+        return evaluate_plft_cf(cf)
+
+    monkeypatch.setattr(cf_module, "evaluate_plft_cf", counting_evaluate)
+    for a, b, c, d in itertools.product(range(11), repeat=4):
+        if a * d == b * c:
+            continue
+        w = Plft(a, b, c, d)
+        evaluations = 0
+        report = orphan_root_cf(w)
+        assert report.root == root_by_unary_walk(w)[0], w
+        assert report.cf == plft_cf_expand(_normalized(w, report)), w
+        assert evaluations == (0 if w.is_orphan else 1), w
 
 
 # -- word decomposition --------------------------------------------------------
