@@ -102,10 +102,6 @@ class Plft:
         """1/f, i.e. the rows swapped."""
         return Plft(self.c, self.d, self.a, self.b)
 
-    def swap_columns(self) -> "Plft":
-        """f(1/z), i.e. the columns swapped."""
-        return Plft(self.b, self.a, self.d, self.c)
-
     # -- text forms -------------------------------------------------------
 
     @classmethod
