@@ -21,9 +21,9 @@ from .cf import (
     plft_cf_expand,
 )
 from .census import harmonic_double_sum_reference, harmonic_double_sum, census_rows, ratio_series
-from .complex_forest import GaussianRational, OrphanParams, ancestor_chain, is_complex_orphan
+from .complex_forest import GaussianRational, OrphanParams, ancestor_chain, ancestor_runs, is_complex_orphan
 from .errors import InternalInvariantError
-from .plft import Plft, format_word, root_by_iteration
+from .plft import Plft, format_word, root_by_iteration, word_of_runs
 
 
 def _parse_points(text: str) -> list[int]:
@@ -100,14 +100,14 @@ def _cmd_corphan(args) -> str:
 
 
 def _cmd_cchain(args) -> str:
-    root, steps = ancestor_chain(GaussianRational.parse(args.z), _params(args))
+    z, params = GaussianRational.parse(args.z), _params(args)
     if args.format == "csv":
         lines = ["step,move,re,im"]
-        for i, step in enumerate(steps, start=1):
+        for i, step in enumerate(ancestor_chain(z, params)[1], start=1):
             lines.append(f"{i},{step.move},{step.value.re},{step.value.im}")
         return "\n".join(lines)
-    moves = "".join(step.move for step in steps)
-    return f"root={root} steps={len(steps)} moves={moves}"
+    root, runs = ancestor_runs(z, params)
+    return f"root={root} steps={sum(runs)} moves={''.join(word_of_runs(runs))}"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,11 +13,15 @@ membership test here works on squared moduli in exact rational
 arithmetic, so the circle boundary lands with the orphans and no square
 roots are ever taken.
 
-Walking upward terminates: an R-parent subtracts v from the real part,
-and an L-parent strictly increases the imaginary part, by at least
-epsilon_u(y) = 2y/(1 + sqrt(1 - 4*u^2*y^2)) - y for points at height y
-(a float diagnostic only; the exact strict increase is what the chain
-logic relies on).
+Walking upward goes a whole run of identical moves at a time
+(`ancestor_runs`).  An R-run subtracts a multiple of v from the real
+part, and an L-run, since the disk |2uz - 1| < 1 is the half-plane
+Re(1/z) > u, translates 1/z by a multiple of -u.  Each run is maximal,
+so the runs alternate, as Euclid's quotients do, and each L-run strictly
+raises the imaginary part.  That bounds the number of runs by
+2 + log_phi(max(1, 1/Im z)), so every walk ends after O(bit size) runs,
+however long they are.  epsilon_u(y) = 2y/(1 + sqrt(1 - 4*u^2*y^2)) - y,
+the least gain of one L-step at height y, is a float diagnostic only.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .errors import InternalInvariantError
 from .plft import LEFT, RIGHT, Move
@@ -33,6 +38,7 @@ from .plft import LEFT, RIGHT, Move
 _PART = r"[+-]?\d+(?:/\d+)?"
 _SIGNED_PART = r"[+-]\d+(?:/\d+)?"
 _GAUSSIAN_RE = re.compile(rf"^({_PART})({_SIGNED_PART})\*i$")
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -153,48 +159,151 @@ def apply_complex_move(z: GaussianRational, move: Move, params: OrphanParams) ->
     raise ValueError(f"move must be 'L' or 'R', got {move!r}")
 
 
-def replay_chain(root: GaussianRational, steps: list[ChainStep], params: OrphanParams) -> GaussianRational:
-    """Walk back down a chain returned by `ancestor_chain`."""
-    z = root
-    for step in reversed(steps):
-        z = apply_complex_move(z, step.move, params)
-    return z
+def _parts(z: GaussianRational) -> tuple[int, int, int]:
+    # (X, Y, Q) in lowest terms with z = (X + iY)/Q and Q > 0
+    q = z.re.denominator * z.im.denominator // math.gcd(z.re.denominator, z.im.denominator)
+    return z.re.numerator * (q // z.re.denominator), z.im.numerator * (q // z.im.denominator), q
 
 
-def ancestor_chain(
-    z: GaussianRational, params: OrphanParams, max_steps: int = 10**6
-) -> tuple[GaussianRational, list[ChainStep]]:
-    """Iterate `complex_parent` up to the unique orphan root.
+def _point(x: int, y: int, q: int) -> GaussianRational:
+    return GaussianRational(Fraction(x, q), Fraction(y, q))
 
-    Returns (root, steps) with steps[i] recording the i-th parent
-    reached; ``replay_chain`` restores z exactly.  Termination is
-    mathematically guaranteed, so hitting ``max_steps`` is reported as
-    an internal error rather than an answer.
+
+def _shift_inverse(x: int, y: int, q: int, t: int) -> tuple[int, int, int]:
+    # (X, Y, Q) of 1/(1/z + t) for z = (X + iY)/Q, in lowest terms:
+    # 1/z + t = (A - iB)/N with N = X^2 + Y^2, A = QX + tN, B = QY.
+    n = x * x + y * y
+    a, b = q * x + t * n, q * y
+    x, y, q = n * a, n * b, a * a + b * b
+    g = math.gcd(x, y, q)
+    return x // g, y // g, q // g
+
+
+def _apply_runs(parts: tuple[int, int, int], runs, params: OrphanParams) -> tuple[int, int, int]:
+    # Child action of (move, k) pairs, in the order taken: R^k adds k*v to
+    # Re z, and L^k adds k*u to 1/z.
+    x, y, q = parts
+    for move, k in runs:
+        if move == RIGHT:
+            x += k * params.v * q
+        elif move == LEFT:
+            x, y, q = _shift_inverse(x, y, q, k * params.u)
+        else:
+            raise ValueError(f"move must be 'L' or 'R', got {move!r}")
+    return x, y, q
+
+
+def ancestor_runs(z: GaussianRational, params: OrphanParams) -> tuple[GaussianRational, tuple[int, ...]]:
+    """Climb to the orphan root a whole run of parent steps at a time.
+
+    Returns (root, runs) in the form of `plft.parent_runs`: the parent
+    walk from z takes runs[0] R-steps, then runs[1] L-steps, then
+    runs[2] R-steps, and so on; only runs[0] can be 0, an orphan gives
+    (), and `plft.word_of_runs(runs)` spells the moves out.
+
+    The point is kept as integers (X, Y, Q) with z = (X + iY)/Q.  An
+    R-step applies while Re z > v, so a maximal R-run has length
+    k = (X - 1) // (vQ) and subtracts k*v*Q from X.  An L-step applies
+    inside the disk |2uz - 1| < 1, which is exactly the half-plane
+    Re(1/z) > u, and it maps 1/z to 1/z - u.  Since
+    Re(1/z) = QX/(X^2 + Y^2), a maximal L-run has length
+    k = (QX - 1) // (u(X^2 + Y^2)) and is one translation of 1/z by -k*u.
+
+    Termination and the run count, run by run.  Each run is maximal, so
+    an R-run leaves Re z <= v and an L-run leaves Re(1/z) <= u: the runs
+    alternate, every run after the first has k >= 1, and the walk stops
+    when both floors are 0, that is at an orphan.  Each L-run strictly
+    raises Im z and an R-run keeps it, so every point z' reached has
+    Im z' >= Im z.  After j runs, z = M(z') with
+    M = R_v^k0 L_u^k1 R_v^k2 ... = [[a, b], [c, d]], of determinant 1
+    and entries >= 0.  From Im z = Im z' / |cz' + d|^2 and
+    Im z' = Im z / |a - cz|^2 follow c <= 1/Im z and, when c > 0,
+    d <= 1/(c Im z); when c = 0, d = 1.  The runs after the first
+    multiply to L_u^k1 R_v^k2 ..., whose bottom row is (c, d) and
+    dominates its top row, and which is entrywise at least the
+    alternating product L1 R1 L1 ... of j - 1 factors, whose largest
+    entry is the Fibonacci number F(j).  So F(j) <= max(1, 1/Im z): the
+    walk ends after at most 2 + log_phi(max(1, 1/Im z)) runs, O(bit
+    size), however long the runs are.  Every point reached is M^-1(z)
+    with entries of M polynomial in the input's parts, so each run costs
+    a few products of O(bit size)-bit integers.
+
+    The answer is verified by replaying the runs from the root, one
+    closed form per run; a mismatch raises InternalInvariantError.
     """
     _require_d0(z)
+    u, v = params.u, params.v
+    x, y, q = start = _parts(z)
+    runs = []
+    while True:
+        k = (x - 1) // (v * q)
+        x -= k * v * q
+        runs.append(k)
+        k = (q * x - 1) // (u * (x * x + y * y))
+        if not k:
+            break
+        runs.append(k)
+        x, y, q = _shift_inverse(x, y, q, -k * u)
+    if not runs[-1]:
+        runs.pop()
+    runs = tuple(runs)
+    moves = ((LEFT if i % 2 else RIGHT, runs[i]) for i in reversed(range(len(runs))))
+    if _apply_runs((x, y, q), moves, params) != start:
+        raise InternalInvariantError(f"the runs {runs} from {_point(x, y, q)} do not give back {z}")
+    return _point(x, y, q), runs
+
+
+def replay_chain(root: GaussianRational, steps: list[ChainStep], params: OrphanParams) -> GaussianRational:
+    """Walk back down a chain returned by `ancestor_chain`.
+
+    The moves are grouped into runs, and each run is one closed form:
+    R^k adds k*v to Re z, and L^k adds k*u to 1/z.
+    """
+    moves = ((move, sum(1 for _ in run)) for move, run in groupby(step.move for step in reversed(steps)))
+    return _point(*_apply_runs(_parts(root), moves, params))
+
+
+def ancestor_chain(z: GaussianRational, params: OrphanParams) -> tuple[GaussianRational, list[ChainStep]]:
+    """The parent walk from z up to its orphan root, one step per move.
+
+    Returns (root, steps) with steps[i] recording the i-th parent
+    reached; ``replay_chain`` restores z exactly.  The runs come from
+    `ancestor_runs`, and each step is spelled out from the start of its
+    run (X, Y, Q) in closed form: R-step j is (X - j*v*Q)/Q + i*Y/Q, and
+    L-step j is 1/(1/z - j*u).  An L-step that fails to raise Im z
+    raises InternalInvariantError.
+    """
+    root, runs = ancestor_runs(z, params)
+    u, v = params.u, params.v
+    x, y, q = _parts(z)
+    im = z.im
     steps: list[ChainStep] = []
-    current = z
-    for _ in range(max_steps):
-        up = complex_parent(current, params)
-        if up is None:
-            return current, steps
-        parent, move = up
-        gain = parent.im - current.im
-        if move == LEFT and gain <= 0:
-            raise InternalInvariantError(f"left step failed to raise Im at {current}")
-        steps.append(ChainStep(value=parent, move=move, im_increase=gain))
-        current = parent
-    raise InternalInvariantError(
-        f"no orphan within {max_steps} steps of {z}; the parent map is broken"
-    )
+    for i, k in enumerate(runs):
+        if i % 2 == 0:
+            for j in range(1, k + 1):
+                steps.append(ChainStep(GaussianRational(Fraction(x - j * v * q, q), im), RIGHT, _ZERO))
+            x -= k * v * q
+        else:
+            n, b = x * x + y * y, q * y
+            for j in range(1, k + 1):
+                a = q * x - j * u * n
+                d = a * a + b * b
+                value = GaussianRational(Fraction(n * a, d), Fraction(n * b, d))
+                gain = value.im - im
+                if gain <= 0:
+                    raise InternalInvariantError(f"left step {len(steps) + 1} from {z} failed to raise Im")
+                steps.append(ChainStep(value, LEFT, gain))
+                im = value.im
+            x, y, q = _shift_inverse(x, y, q, -k * u)
+    return root, steps
 
 
 def epsilon_u(u: int, y) -> float:
     """Guaranteed minimum Im-gain of an L-parent step at height y.
 
     Defined for 0 < y <= 1/(2u); equals y at the right endpoint.  Float
-    diagnostic only; chain termination rests on the exact comparison in
-    `ancestor_chain`.
+    diagnostic only: chain termination is argued run by run in
+    `ancestor_runs` and does not use it.
     """
     if not isinstance(u, int) or isinstance(u, bool) or u < 1:
         raise ValueError(f"u must be a positive integer, got {u!r}")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from plft_forest import LEFT, RIGHT, Plft
+from plft_forest import LEFT, RIGHT, Plft, complex_parent
 
 # ---------------------------------------------------------------------------
 # hypothesis strategies
@@ -67,6 +67,22 @@ def root_by_unary_walk(w: Plft):
         node, move = up
         word.append(move)
     return node, tuple(word)
+
+
+def chain_by_unary_walk(z, params):
+    """Climb ``complex_parent`` one step at a time: (root, [(value, move, im_increase), ...]).
+
+    The per-step route up the complex forest, independent of the
+    run-length loop of ``ancestor_runs``.  Its cost grows with the
+    length of the runs, so use it on small inputs only.
+    """
+    steps = []
+    node = z
+    while (up := complex_parent(node, params)) is not None:
+        parent, move = up
+        steps.append((parent, move, parent.im - node.im))
+        node = parent
+    return node, steps
 
 
 def nu2_brute(d: int) -> int:

@@ -1,18 +1,24 @@
 """Tree walks cost O(bit size): a long run of moves is taken whole.
 
-The checks count `Plft` constructions, not wall time.  A walk that goes
-one move at a time builds a `Plft` per move, about 10^5 on these inputs;
-a walk by runs builds a handful.
+The checks count `Plft` and `GaussianRational` constructions, not wall
+time.  A walk that goes one move at a time builds a value per move,
+10^5 or more on these inputs; a walk by runs builds a handful.
 """
 
 from fractions import Fraction
+
+import pytest
 
 from plft_forest import (
     IDENTITY,
     LEFT,
     RIGHT,
+    GaussianRational,
+    OrphanParams,
     Plft,
+    ancestor_runs,
     ancestors_of_rational,
+    apply_complex_move,
     apply_word,
     decompose_special,
     plft_cf_expand,
@@ -26,10 +32,10 @@ ROOT = Plft(2, 1, 1, 2)
 MOST_BUILT = 50
 
 
-def _built(monkeypatch, fn, *args):
-    """fn(*args) and the number of `Plft` values constructed while it ran."""
+def _built(monkeypatch, fn, *args, cls=Plft):
+    """fn(*args) and the number of ``cls`` values constructed while it ran."""
     count = 0
-    original = Plft.__post_init__
+    original = cls.__post_init__
 
     def counting(self):
         nonlocal count
@@ -37,7 +43,7 @@ def _built(monkeypatch, fn, *args):
         original(self)
 
     with monkeypatch.context() as patch:
-        patch.setattr(Plft, "__post_init__", counting)
+        patch.setattr(cls, "__post_init__", counting)
         result = fn(*args)
     return result, count
 
@@ -83,3 +89,46 @@ def test_ancestors_of_rational_long_run():
     # (RUN+1)/RUN -> 1/RUN by one R-step, then L-steps 1/(RUN-1), ..., 1/1
     expected = [Fraction(1, RUN)] + [Fraction(1, n) for n in range(RUN - 1, 0, -1)]
     assert ancestors_of_rational(Fraction(RUN + 1, RUN)) == expected
+
+
+def _gaussian(re, im):
+    return GaussianRational(Fraction(re), Fraction(im))
+
+
+def _l_run_child(z, k, u):
+    """The point k L-moves below z, from 1/(1/z + k*u) in exact arithmetic."""
+    n = z.re * z.re + z.im * z.im
+    re, im = z.re / n + k * u, z.im / n  # 1/z + k*u = re - i*im
+    n = re * re + im * im
+    return GaussianRational(re / n, im / n)
+
+
+@pytest.mark.parametrize(
+    "z, params, runs, root",
+    [
+        (_gaussian(2 * 10**6, 1), OrphanParams(1, 1), (1999999,), _gaussian(1, 1)),
+        (
+            _gaussian(Fraction(1, 10**6), Fraction(1, 10**12)),
+            OrphanParams(1, 1),
+            (0, 999999),
+            _gaussian(Fraction(999999000001, 1999998000001), Fraction(1000000000000, 1999998000001)),
+        ),
+        (_l_run_child(_gaussian(1, 1), 10**18, 2), OrphanParams(2, 3), (0, 10**18), _gaussian(1, 1)),
+    ],
+)
+def test_ancestor_runs_takes_runs_whole(monkeypatch, z, params, runs, root):
+    result, built = _built(monkeypatch, ancestor_runs, z, params, cls=GaussianRational)
+    assert result == (root, runs)
+    assert built <= MOST_BUILT
+
+
+@pytest.mark.parametrize("u, v", [(1, 1), (2, 3)])
+def test_ancestor_runs_alternating_single_moves(monkeypatch, u, v):
+    # 200 runs of one move each: the worst case for the run count at a given bit size
+    params, root = OrphanParams(u, v), _gaussian(1, 1)
+    z = root
+    for i in reversed(range(200)):
+        z = apply_complex_move(z, LEFT if i % 2 else RIGHT, params)
+    result, built = _built(monkeypatch, ancestor_runs, z, params, cls=GaussianRational)
+    assert result == (root, (1,) * 200)
+    assert built <= MOST_BUILT

@@ -100,6 +100,13 @@ def test_cchain_command(capsys):
     assert out == "root=1/5+2/5*i steps=1 moves=L\n"
 
 
+def test_cchain_long_run(capsys):
+    # one R-run of 1999999 moves, climbed by one division
+    code, out, _ = run(capsys, "cchain", "2000000+1*i")
+    assert code == 0
+    assert out == "root=1+1*i steps=1999999 moves=" + "R" * 1999999 + "\n"
+
+
 def test_cchain_csv_format(capsys):
     code, out, _ = run(capsys, "cchain", "5/2+1*i", "--format", "csv")
     assert code == 0

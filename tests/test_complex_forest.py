@@ -5,19 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import chain_by_unary_walk
 from plft_forest import (
     LEFT,
     RIGHT,
     GaussianRational,
+    InternalInvariantError,
     OrphanParams,
     ancestor_chain,
+    ancestor_runs,
     apply_complex_move,
     complex_parent,
     epsilon_u,
     in_d0,
     is_complex_orphan,
     replay_chain,
+    word_of_runs,
 )
+from plft_forest import complex_forest
 
 P11 = OrphanParams(1, 1)
 
@@ -39,6 +44,8 @@ def test_boundary_points_rejected():
         complex_parent(gr(0, 1), P11)
     with pytest.raises(ValueError):
         ancestor_chain(gr(1, -1), P11)
+    with pytest.raises(ValueError):
+        ancestor_runs(gr(0, 1), P11)
 
 
 def test_orphan_params_validated():
@@ -77,6 +84,10 @@ def test_ancestor_chain_examples():
 
     z = gr(1, 1)
     assert ancestor_chain(z, P11) == (z, [])
+
+    assert ancestor_runs(gr(1, 1), P11) == (gr(1, 1), ())
+    assert ancestor_runs(gr(Fraction(5, 2), 1), P11) == (gr(Fraction(1, 2), 1), (2,))
+    assert ancestor_runs(gr(Fraction(1, 4), Fraction(1, 4)), P11) == (gr(Fraction(1, 5), Fraction(2, 5)), (0, 1))
 
 
 def test_epsilon_endpoints():
@@ -155,3 +166,68 @@ def test_chain_terminates_replays_and_climbs(re, im, p):
     if z.im <= ceiling and l_steps:
         bound = math.ceil(float(ceiling - z.im) / epsilon_u(p.u, z.im)) + 1
         assert l_steps <= bound
+
+
+def _fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def _agrees_with_unary_walk(z, p):
+    """ancestor_runs and ancestor_chain against iterated complex_parent, step by step."""
+    want_root, want_steps = chain_by_unary_walk(z, p)
+    root, runs = ancestor_runs(z, p)
+    assert root == want_root
+    assert word_of_runs(runs) == tuple(move for _, move, _ in want_steps)
+    assert all(runs[1:]) and (not runs or runs[-1])
+    # the run count bound argued in ancestor_runs: F(len(runs)) <= max(1, 1/Im z)
+    assert _fibonacci(len(runs)) <= max(1, 1 / z.im)
+    chain_root, steps = ancestor_chain(z, p)
+    assert chain_root == want_root
+    assert [(s.value, s.move, s.im_increase) for s in steps] == want_steps
+    assert replay_chain(root, steps, p) == z
+
+
+@st.composite
+def descendants(draw):
+    """A point reached from a random point by a few runs of child moves."""
+    p = draw(params)
+    z = GaussianRational(draw(components), draw(components))
+    for i, k in enumerate(draw(st.lists(st.integers(1, 6), max_size=6))):
+        for _ in range(k):
+            z = apply_complex_move(z, LEFT if i % 2 else RIGHT, p)
+    return z, p
+
+
+@given(descendants())
+@settings(max_examples=300, deadline=None)
+def test_runs_and_chain_match_unary_walk(case):
+    _agrees_with_unary_walk(*case)
+
+
+def _boundary_points(u, v):
+    """Rational points where a floor in ancestor_runs is exact."""
+    for t in (Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(2), Fraction(7, 3)):
+        # on the circle |2uz - 1| = 1 (orphans), and Re(1/z) = m*u exactly
+        yield gr(Fraction(1, u) / (1 + t * t), t / (u * (1 + t * t)))
+        for m in (1, 2, 5):
+            yield gr(m * u / ((m * u) ** 2 + t * t), t / ((m * u) ** 2 + t * t))
+        # Re z = k*v exactly
+        for k in (1, 2, 3):
+            yield gr(k * v, t)
+
+
+@pytest.mark.parametrize("u,v", [(1, 1), (1, 2), (2, 1), (2, 3), (3, 3)])
+def test_runs_match_unary_walk_on_floor_boundaries(u, v):
+    p = OrphanParams(u, v)
+    for z in _boundary_points(u, v):
+        for shift in (0, 1, 3):
+            _agrees_with_unary_walk(gr(z.re + shift * v, z.im), p)
+
+
+def test_ancestor_runs_checks_its_replay(monkeypatch):
+    monkeypatch.setattr(complex_forest, "_apply_runs", lambda parts, runs, p: (1, 1, 1))
+    with pytest.raises(InternalInvariantError):
+        ancestor_runs(gr(Fraction(5, 2), 1), P11)
