@@ -208,8 +208,14 @@ class CensusRow:
     orphan_count: int
 
     def __post_init__(self) -> None:
-        if self.h_closed != self.nu2 + 2 * self.sigma - self.tau:
-            raise InternalInvariantError(f"closed formula broken at D={self.D}")
+        # nu2 reads tau and sigma from the sieve, the closed formula from
+        # trial division; the two must agree at D.
+        tau, sigma = _sieves(self.D)
+        if (tau[self.D], sigma[self.D]) != (self.tau, self.sigma):
+            raise InternalInvariantError(
+                f"sieve and trial division disagree at D={self.D}: "
+                f"tau {tau[self.D]} / {self.tau}, sigma {sigma[self.D]} / {self.sigma}"
+            )
         if not (self.h_closed == self.h_direct == self.orphan_count):
             raise InternalInvariantError(
                 f"route disagreement at D={self.D}: "

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InternalInvariantError
-from .plft import IDENTITY, LEFT, RIGHT, Move, Plft, Word, _orphan, parent_runs, word_of_runs
+from .plft import IDENTITY, LEFT, RIGHT, Move, Plft, RunSteps, Word, _orphan, parent_runs, word_of_runs
 
 Quotients = tuple[int, ...]
 
@@ -401,29 +401,38 @@ def is_descendant_rational(ancestor: Fraction, target: Fraction) -> bool:
     return False
 
 
-def ancestors_of_rational(w: Fraction) -> list[Fraction]:
+def ancestors_of_rational(w: Fraction) -> RunSteps:
     """Proper ancestors of w, nearest first, ending at the root 1/1.
 
     The parent of p/q is (p-q)/q when p > q and p/(q-p) otherwise, so the
     chain is a sequence of runs whose lengths are the quotients of
     `cf_of_rational(w)`, the last one less one.  Each run is one integer
-    division, and only the Fractions that are output get built.
+    division, and the answer is a `plft.RunSteps` over the runs, in
+    `parent_runs`' form, that keeps (p, q) at the start of each run: the
+    j-th ancestor of an R-run is (p - j*q)/q and of an L-run p/(q - j*p),
+    built as a Fraction only when it is read.  So the call costs
+    O(bit size), however long the runs are.
     """
     w = Fraction(w)
     if w <= 0:
         raise ValueError("ancestors are defined for positive rationals")
     p, q = w.numerator, w.denominator
-    chain = []
+    runs, starts = [], []
     while p != q:
-        if p > q:
+        starts.append((p, q))
+        if len(runs) % 2 == 0:
             k = (p - 1) // q
-            chain += [Fraction(p - i * q, q) for i in range(1, k + 1)]
             p -= k * q
         else:
             k = (q - 1) // p
-            chain += [Fraction(p, q - i * p) for i in range(1, k + 1)]
             q -= k * p
-    return chain
+        runs.append(k)
+
+    def step(i: int, j: int) -> Fraction:
+        p, q = starts[i]
+        return Fraction(p - j * q, q) if i % 2 == 0 else Fraction(p, q - j * p)
+
+    return RunSteps(tuple(runs), step)
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,9 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 
 from .errors import InternalInvariantError
-from .plft import LEFT, RIGHT, Move
+from .plft import LEFT, RIGHT, Move, RunSteps
 
 _PART = r"[+-]?\d+(?:/\d+)?"
 _SIGNED_PART = r"[+-]\d+(?:/\d+)?"
@@ -193,6 +192,12 @@ def _apply_runs(parts: tuple[int, int, int], runs, params: OrphanParams) -> tupl
     return x, y, q
 
 
+def _downward(runs: tuple[int, ...]):
+    # (move, k) pairs of parent_runs-form runs, in the order the child
+    # moves are taken from the root down.
+    return ((LEFT if i % 2 else RIGHT, runs[i]) for i in reversed(range(len(runs))))
+
+
 def ancestor_runs(z: GaussianRational, params: OrphanParams) -> tuple[GaussianRational, tuple[int, ...]]:
     """Climb to the orphan root a whole run of parent steps at a time.
 
@@ -247,55 +252,69 @@ def ancestor_runs(z: GaussianRational, params: OrphanParams) -> tuple[GaussianRa
     if not runs[-1]:
         runs.pop()
     runs = tuple(runs)
-    moves = ((LEFT if i % 2 else RIGHT, runs[i]) for i in reversed(range(len(runs))))
-    if _apply_runs((x, y, q), moves, params) != start:
+    if _apply_runs((x, y, q), _downward(runs), params) != start:
         raise InternalInvariantError(f"the runs {runs} from {_point(x, y, q)} do not give back {z}")
     return _point(x, y, q), runs
 
 
-def replay_chain(root: GaussianRational, steps: list[ChainStep], params: OrphanParams) -> GaussianRational:
-    """Walk back down a chain returned by `ancestor_chain`.
+def replay_chain(root: GaussianRational, steps: RunSteps, params: OrphanParams) -> GaussianRational:
+    """Walk back down the steps that `ancestor_chain` returns, to z.
 
-    The moves are grouped into runs, and each run is one closed form:
-    R^k adds k*v to Re z, and L^k adds k*u to 1/z.
+    Reads ``steps.runs`` and applies one closed form per run, from the
+    root down: R^k adds k*v to Re z, and L^k adds k*u to 1/z.  No step
+    is built.
     """
-    moves = ((move, sum(1 for _ in run)) for move, run in groupby(step.move for step in reversed(steps)))
-    return _point(*_apply_runs(_parts(root), moves, params))
+    return _point(*_apply_runs(_parts(root), _downward(steps.runs), params))
 
 
-def ancestor_chain(z: GaussianRational, params: OrphanParams) -> tuple[GaussianRational, list[ChainStep]]:
+def ancestor_chain(z: GaussianRational, params: OrphanParams) -> tuple[GaussianRational, RunSteps]:
     """The parent walk from z up to its orphan root, one step per move.
 
-    Returns (root, steps) with steps[i] recording the i-th parent
-    reached; ``replay_chain`` restores z exactly.  The runs come from
-    `ancestor_runs`, and each step is spelled out from the start of its
-    run (X, Y, Q) in closed form: R-step j is (X - j*v*Q)/Q + i*Y/Q, and
-    L-step j is 1/(1/z - j*u).  An L-step that fails to raise Im z
-    raises InternalInvariantError.
+    Returns (root, steps), where steps is a `plft.RunSteps` over the
+    runs of `ancestor_runs` and steps[i] is the `ChainStep` of the
+    (i+1)-th parent reached; ``replay_chain(root, steps, params)``
+    restores z exactly.  The call keeps (X, Y, Q, Im z) at the start of
+    each run, with z = (X + iY)/Q, and a step is built only when it is
+    read, in closed form from its run's start: R-step j is
+    (X - j*v*Q)/Q + i*Y/Q, and L-step j is 1/(1/z - j*u), whose
+    denominator is a_j^2 + (QY)^2 with a_j = QX - j*u*N, N = X^2 + Y^2.
+
+    L-step j raises Im z when a_j^2 < a_(j-1)^2, which a_j >= 1 ensures
+    as a_j < a_(j-1).  Since a_j falls as j grows, a_k >= 1 covers the
+    whole run, so it is checked once per run, at call time, and its
+    failure raises InternalInvariantError.  A step that is built also
+    checks its own gain in Im z.
     """
     root, runs = ancestor_runs(z, params)
     u, v = params.u, params.v
     x, y, q = _parts(z)
     im = z.im
-    steps: list[ChainStep] = []
+    starts = []
     for i, k in enumerate(runs):
+        starts.append((x, y, q, im))
         if i % 2 == 0:
-            for j in range(1, k + 1):
-                steps.append(ChainStep(GaussianRational(Fraction(x - j * v * q, q), im), RIGHT, _ZERO))
             x -= k * v * q
-        else:
-            n, b = x * x + y * y, q * y
-            for j in range(1, k + 1):
-                a = q * x - j * u * n
-                d = a * a + b * b
-                value = GaussianRational(Fraction(n * a, d), Fraction(n * b, d))
-                gain = value.im - im
-                if gain <= 0:
-                    raise InternalInvariantError(f"left step {len(steps) + 1} from {z} failed to raise Im")
-                steps.append(ChainStep(value, LEFT, gain))
-                im = value.im
-            x, y, q = _shift_inverse(x, y, q, -k * u)
-    return root, steps
+            continue
+        if q * x - k * u * (x * x + y * y) < 1:
+            raise InternalInvariantError(f"left run {i} from {z} is too long to raise Im at every step")
+        x, y, q = _shift_inverse(x, y, q, -k * u)
+        im = Fraction(y, q)
+
+    def step(i: int, j: int) -> ChainStep:
+        x, y, q, im = starts[i]
+        if i % 2 == 0:
+            return ChainStep(GaussianRational(Fraction(x - j * v * q, q), im), RIGHT, _ZERO)
+        n, b = x * x + y * y, q * y
+        a = q * x - j * u * n
+        d = a * a + b * b
+        value = GaussianRational(Fraction(n * a, d), Fraction(n * b, d))
+        below = im if j == 1 else Fraction(n * b, (a + u * n) ** 2 + b * b)
+        gain = value.im - below
+        if gain <= 0:
+            raise InternalInvariantError(f"left step {j} of run {i} from {z} failed to raise Im")
+        return ChainStep(value, LEFT, gain)
+
+    return root, RunSteps(runs, step)
 
 
 def epsilon_u(u: int, y) -> float:

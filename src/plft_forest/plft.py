@@ -24,8 +24,10 @@ distinct positions in the forest.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import accumulate, groupby
 
 LEFT = "L"
 RIGHT = "R"
@@ -231,6 +233,42 @@ def root_by_iteration(w: Plft) -> tuple[Plft, Word]:
 def word_of_runs(runs: tuple[int, ...]) -> Word:
     """Spell out alternating R, L, R, ... runs of the given lengths as a word."""
     return tuple("".join((LEFT if i % 2 else RIGHT) * k for i, k in enumerate(runs)))
+
+
+class RunSteps(Sequence):
+    """The steps of a walk, read from its runs; a step is built when it is read.
+
+    ``runs`` is in `parent_runs`' form, and ``step(i, j)`` builds the
+    j-th step of run i, for 1 <= j <= runs[i].  The sequence holds the
+    runs and a list of their cumulative ends, so its length is O(1), an index
+    costs a bisection over the runs plus one ``step`` call, and
+    iterating goes run by run.  Slices give lists.  Its length is the
+    sum of the runs, which ``len()`` can report only up to
+    ``sys.maxsize``; indexing and iterating have no such limit.
+    """
+
+    __slots__ = ("runs", "_ends", "_step")
+
+    def __init__(self, runs: tuple[int, ...], step: Callable[[int, int], object]) -> None:
+        self.runs = runs
+        self._ends = [0, *accumulate(runs)]  # run i covers _ends[i] <= index < _ends[i + 1]
+        self._step = step
+
+    def __len__(self) -> int:
+        return self._ends[-1]
+
+    def __getitem__(self, index):
+        where = range(self._ends[-1])[index]
+        if isinstance(where, range):
+            return [self[i] for i in where]
+        i = bisect_right(self._ends, where) - 1
+        return self._step(i, where - self._ends[i] + 1)
+
+    def __iter__(self) -> Iterator:
+        step = self._step
+        for i, k in enumerate(self.runs):
+            for j in range(1, k + 1):
+                yield step(i, j)
 
 
 def _orphan(a: int, b: int, c: int, d: int) -> bool:

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 
 from plft_forest import LEFT, RIGHT, Plft, complex_parent
 
@@ -83,6 +84,34 @@ def chain_by_unary_walk(z, params):
         steps.append((parent, move, parent.im - node.im))
         node = parent
     return node, steps
+
+
+def ancestors_by_unary_walk(w: Fraction) -> list:
+    """Climb the rational tree one parent at a time: w - 1 above 1, w/(1 - w) below.
+
+    The literal per-step route, in Fraction arithmetic, independent of
+    the run-length division of ``ancestors_of_rational``.  Its cost
+    grows with the length of the runs, so use it on small inputs only.
+    """
+    chain = []
+    while w != 1:
+        w = w - 1 if w > 1 else w / (1 - w)
+        chain.append(w)
+    return chain
+
+
+def check_reads_as(seq, expected: list) -> None:
+    """A sequence read by index, negative index, slice and iteration equals ``expected``."""
+    n = len(expected)
+    assert len(seq) == n
+    assert [seq[i] for i in range(n)] == expected
+    assert [seq[i] for i in range(-n, 0)] == expected
+    assert list(seq) == expected
+    for cut in (slice(None), slice(1, -1), slice(None, None, -2), slice(n // 2, None, 3)):
+        assert seq[cut] == expected[cut]
+    for outside in (n, -n - 1):
+        with pytest.raises(IndexError):
+            seq[outside]
 
 
 def nu2_brute(d: int) -> int:

@@ -16,14 +16,17 @@ from plft_forest import (
     GaussianRational,
     OrphanParams,
     Plft,
+    ancestor_chain,
     ancestor_runs,
     ancestors_of_rational,
     apply_complex_move,
     apply_word,
     decompose_special,
     plft_cf_expand,
+    replay_chain,
     root_by_iteration,
 )
+from plft_forest import cf as cf_module
 
 RUN = 10**5
 # word[0] is the move nearest the node: the walk up takes R^2, L^7, R^RUN, L^3
@@ -88,7 +91,28 @@ def test_decompose_special_takes_runs_whole(monkeypatch):
 def test_ancestors_of_rational_long_run():
     # (RUN+1)/RUN -> 1/RUN by one R-step, then L-steps 1/(RUN-1), ..., 1/1
     expected = [Fraction(1, RUN)] + [Fraction(1, n) for n in range(RUN - 1, 0, -1)]
-    assert ancestors_of_rational(Fraction(RUN + 1, RUN)) == expected
+    assert list(ancestors_of_rational(Fraction(RUN + 1, RUN))) == expected
+
+
+def test_ancestors_of_rational_builds_what_is_read(monkeypatch):
+    built = 0
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            nonlocal built
+            built += 1
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(cf_module, "Fraction", Counting)
+    big = 10**6
+    ancestors = ancestors_of_rational(Fraction(big + 1, big))
+    assert len(ancestors) == big and ancestors.runs == (1, big - 1)
+    assert ancestors[0] == Fraction(1, big) and ancestors[-2] == Fraction(1, 2) and ancestors[-1] == 1
+    assert built <= MOST_BUILT
+    # only now, so that a walk that builds every ancestor fails above instead
+    huge = 10**18
+    ancestors = ancestors_of_rational(Fraction(huge + 1, huge))
+    assert len(ancestors) == huge and ancestors[-1] == 1
 
 
 def _gaussian(re, im):
@@ -119,6 +143,20 @@ def _l_run_child(z, k, u):
 def test_ancestor_runs_takes_runs_whole(monkeypatch, z, params, runs, root):
     result, built = _built(monkeypatch, ancestor_runs, z, params, cls=GaussianRational)
     assert result == (root, runs)
+    assert built <= MOST_BUILT
+
+
+def _chain_and_replay(z, params):
+    root, steps = ancestor_chain(z, params)
+    return root, steps, replay_chain(root, steps, params)
+
+
+def test_ancestor_chain_and_replay_take_runs_whole(monkeypatch):
+    z, params = _gaussian(2 * 10**6, 1), OrphanParams(1, 1)
+    (root, steps, back), built = _built(monkeypatch, _chain_and_replay, z, params, cls=GaussianRational)
+    assert root == _gaussian(1, 1) and back == z
+    assert steps.runs == (1999999,) and len(steps) == 1999999
+    assert steps[0].value == _gaussian(2 * 10**6 - 1, 1) and steps[-1].value == root
     assert built <= MOST_BUILT
 
 

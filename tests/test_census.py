@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import iter_partitions, nu2_brute, orphans_by_definition
 from plft_forest import census as census_module
 from plft_forest import (
+    InternalInvariantError,
     Plft,
     harmonic_double_sum_reference,
     harmonic_double_sum,
@@ -142,6 +143,24 @@ def test_three_routes_agree_to_sixty():
     for d in range(1, 61):
         row = census_row(d)  # CensusRow construction enforces equality
         assert row.h_closed == HVALS[d - 1] if d <= 15 else True
+
+
+@pytest.mark.parametrize("which", [0, 1])  # tau, sigma
+def test_census_row_catches_a_wrong_sieve_entry(monkeypatch, which):
+    d = 12
+    lists = [list(values) for values in census_module._sieves(d)]
+    lists[which][d] += 2  # even, so nu2's parity check passes
+    monkeypatch.setattr(census_module, "_sieve_cache", tuple(lists))
+    with pytest.raises(InternalInvariantError, match="sieve and trial division"):
+        census_row(d)
+
+
+@pytest.mark.parametrize("name", ["divisor_tau", "divisor_sigma"])
+def test_census_row_catches_a_wrong_trial_division(monkeypatch, name):
+    original = getattr(census_module, name)
+    monkeypatch.setattr(census_module, name, lambda d: original(d) + 2)
+    with pytest.raises(InternalInvariantError, match="sieve and trial division"):
+        census_row(12)
 
 
 def test_summatory_examples():

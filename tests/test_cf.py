@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    ancestors_by_unary_walk,
+    check_reads_as,
     first_rows_rationals,
     orphans,
     plfts,
@@ -36,6 +38,7 @@ from plft_forest import (
     plft_cf_expand,
     root_by_iteration,
     rootz_check,
+    word_of_runs,
 )
 
 
@@ -298,13 +301,13 @@ def test_descendant_agrees_with_tree_paths_depth8():
 
 
 def test_ancestors_examples():
-    assert ancestors_of_rational(Fraction(7, 4)) == [
+    assert list(ancestors_of_rational(Fraction(7, 4))) == [
         Fraction(3, 4),
         Fraction(3),
         Fraction(2),
         Fraction(1),
     ]
-    assert ancestors_of_rational(Fraction(1)) == []
+    assert list(ancestors_of_rational(Fraction(1))) == []
     assert Fraction(3, 5) in ancestors_of_rational(Fraction(8, 5))
 
 
@@ -313,6 +316,15 @@ def test_ancestors_examples():
 def test_ancestors_satisfy_descendant_relation(w):
     for ancestor in ancestors_of_rational(w):
         assert is_descendant_rational(ancestor, w) is True
+
+
+@given(st.one_of(positive_rationals(max_part=60), positive_rationals(max_part=3000)))
+@settings(max_examples=150)
+def test_ancestors_match_unary_walk(w):
+    want = ancestors_by_unary_walk(w)
+    ancestors = ancestors_of_rational(w)
+    check_reads_as(ancestors, want)
+    assert word_of_runs(ancestors.runs) == tuple(RIGHT if a > 1 else LEFT for a in ([w] + want)[:-1])
 
 
 def _ancestors_by_splice_enumeration(w):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import chain_by_unary_walk
+from helpers import chain_by_unary_walk, check_reads_as
 from plft_forest import (
     LEFT,
     RIGHT,
+    ChainStep,
     GaussianRational,
     InternalInvariantError,
     OrphanParams,
@@ -83,7 +84,8 @@ def test_ancestor_chain_examples():
     assert len(steps) == 1 and steps[0].move == LEFT
 
     z = gr(1, 1)
-    assert ancestor_chain(z, P11) == (z, [])
+    root, steps = ancestor_chain(z, P11)
+    assert (root, list(steps)) == (z, [])
 
     assert ancestor_runs(gr(1, 1), P11) == (gr(1, 1), ())
     assert ancestor_runs(gr(Fraction(5, 2), 1), P11) == (gr(Fraction(1, 2), 1), (2,))
@@ -185,8 +187,8 @@ def _agrees_with_unary_walk(z, p):
     # the run count bound argued in ancestor_runs: F(len(runs)) <= max(1, 1/Im z)
     assert _fibonacci(len(runs)) <= max(1, 1 / z.im)
     chain_root, steps = ancestor_chain(z, p)
-    assert chain_root == want_root
-    assert [(s.value, s.move, s.im_increase) for s in steps] == want_steps
+    assert chain_root == want_root and steps.runs == runs
+    check_reads_as(steps, [ChainStep(*step) for step in want_steps])
     assert replay_chain(root, steps, p) == z
 
 
@@ -231,3 +233,12 @@ def test_ancestor_runs_checks_its_replay(monkeypatch):
     monkeypatch.setattr(complex_forest, "_apply_runs", lambda parts, runs, p: (1, 1, 1))
     with pytest.raises(InternalInvariantError):
         ancestor_runs(gr(Fraction(5, 2), 1), P11)
+
+
+def test_ancestor_chain_checks_its_left_runs_at_call_time(monkeypatch):
+    # 1/4 + i/4 has runs (0, 1); a third L-step would bring Im back down
+    z = gr(Fraction(1, 4), Fraction(1, 4))
+    root, _ = ancestor_runs(z, P11)
+    monkeypatch.setattr(complex_forest, "ancestor_runs", lambda z, p: (root, (0, 3)))
+    with pytest.raises(InternalInvariantError):
+        ancestor_chain(z, P11)
