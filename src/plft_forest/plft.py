@@ -240,8 +240,8 @@ class RunSteps(Sequence):
 
     ``runs`` is in `parent_runs`' form, and ``step(i, j)`` builds the
     j-th step of run i, for 1 <= j <= runs[i].  The sequence holds the
-    runs and a list of their cumulative ends, so its length is O(1), an index
-    costs a bisection over the runs plus one ``step`` call, and
+    runs and a list of their cumulative ends, so its length is O(1), an
+    index costs a bisection over the runs plus one ``step`` call, and
     iterating goes run by run.  Slices give lists.  Its length is the
     sum of the runs, which ``len()`` can report only up to
     ``sys.maxsize``; indexing and iterating have no such limit.

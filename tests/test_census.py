@@ -163,6 +163,17 @@ def test_census_row_catches_a_wrong_trial_division(monkeypatch, name):
         census_row(12)
 
 
+@pytest.mark.parametrize(
+    "name, wrong",
+    [("h_closed", lambda h: h + 1), ("h_direct", lambda h: h - 1), ("enumerate_orphans", lambda found: found[1:])],
+)
+def test_census_row_catches_a_wrong_count(monkeypatch, name, wrong):
+    original = getattr(census_module, name)
+    monkeypatch.setattr(census_module, name, lambda d: wrong(original(d)))
+    with pytest.raises(InternalInvariantError, match="route disagreement"):
+        census_row(12)
+
+
 def test_summatory_examples():
     assert summatory_h(15) == 591
     assert summatory_h(1) == 1

@@ -239,6 +239,6 @@ def test_ancestor_chain_checks_its_left_runs_at_call_time(monkeypatch):
     # 1/4 + i/4 has runs (0, 1); a third L-step would bring Im back down
     z = gr(Fraction(1, 4), Fraction(1, 4))
     root, _ = ancestor_runs(z, P11)
-    monkeypatch.setattr(complex_forest, "ancestor_runs", lambda z, p: (root, (0, 3)))
+    monkeypatch.setattr(complex_forest, "ancestor_runs", lambda *_: (root, (0, 3)))
     with pytest.raises(InternalInvariantError):
         ancestor_chain(z, P11)
