@@ -12,11 +12,12 @@ independent routes are provided:
                   matrix in the orphan cone a > c, d > b, found by
                   trial division over the window of a that the cone
                   allows;
-  * enumerate_orphans -- building the matrices from the column
-                  differences p = a - c, q = d - b >= 1, which turn
-                  the determinant into p*q + p*b + q*c = D, so that
-                  for each p, q the entry b runs over one residue
-                  class and c follows from it.
+  * count_orphans -- the column differences p = a - c, q = d - b >= 1
+                  turn the determinant into p*q + p*b + q*c = D, so
+                  that for each p, q the entry b runs over one residue
+                  class and c follows from it; the count adds up the
+                  sizes of those classes and builds no matrix.  (The
+                  literal list of the matrices is a test oracle.)
 
 The three share no loop and no table.
 
@@ -37,23 +38,70 @@ down.  Summed over D <= x the convolution becomes
     sum_{A+B<=x} tau(A)*tau(B)  =  sum_{A<x} tau(A)*T(x-A),
 
 with T the prefix sum of tau, so the summatory function takes O(x)
-exact integer steps once the sieves reach x.
+exact integer steps once the sieve reaches x.
+
+tau and sigma come from a linear sieve, which reaches each n once
+through its least prime factor.  The module caches the sieve only for
+nu2 and the census rows, which ask for one D after another; the
+summatory function sieves to its own top and keeps nothing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import mul
 
 from .errors import InternalInvariantError
-from .plft import Plft
 
 
 # ---------------------------------------------------------------------------
-# sieves (grow-on-demand module cache)
+# sieves
 # ---------------------------------------------------------------------------
+
+def _sieve(n: int) -> tuple[list[int], list[int]]:
+    """tau[0..n] and sigma[0..n] (index 0 unused) by a linear sieve.
+
+    Each composite m is marked once, as i*p with p its least prime
+    factor (Gries and Misra, CACM 1978), so the sieve takes O(n) steps.
+    power[m] is the largest power of that prime dividing m; tau and
+    sigma are multiplicative, so they follow from m / power[m] and from
+    tau(p^e) = e + 1 and sigma(p^e) = (p^(e+1) - 1)/(p - 1), grown here
+    by one factor of p at a time.
+    """
+    tau = [0] * (n + 1)
+    sigma = [0] * (n + 1)
+    power = [0] * (n + 1)
+    if n >= 1:
+        tau[1] = sigma[1] = power[1] = 1
+    composite = bytearray(n + 1)
+    primes = []
+    for i in range(2, n + 1):
+        if not composite[i]:
+            primes.append(i)
+            power[i] = i
+            tau[i] = 2
+            sigma[i] = i + 1
+        for p in primes:
+            m = i * p
+            if m > n:
+                break
+            composite[m] = 1
+            if i % p:
+                power[m] = p
+                tau[m] = 2 * tau[i]
+                sigma[m] = (p + 1) * sigma[i]
+            else:
+                # p is the least prime factor of i too: one more factor of p
+                pe = power[i]
+                power[m] = pe * p
+                rest = i // pe
+                tau[m] = tau[rest] * (tau[pe] + 1)
+                sigma[m] = sigma[rest] * (sigma[pe] + pe * p)
+                break
+    return tau, sigma
+
 
 # The cache is swapped in as a whole object (single reference assignment),
 # so concurrent readers always see a consistent tau/sigma pair.
@@ -61,22 +109,16 @@ _sieve_cache: tuple[list[int], list[int]] = ([0], [0])
 
 
 def _sieves(n: int) -> tuple[list[int], list[int]]:
-    """tau[0..n] and sigma[0..n] (index 0 unused), or longer lists.
+    """tau[0..n] and sigma[0..n] (index 0 unused), or longer lists, from the module cache.
 
-    A rebuild at least doubles the cache, so asking for n = 1, 2, 3, ...
+    For nu2 and the census rows, which ask for one D after another.  A
+    rebuild at least doubles the cache, so asking for n = 1, 2, 3, ...
     in turn builds O(log n) times.
     """
     global _sieve_cache
     cache = _sieve_cache
     if len(cache[0]) <= n:
-        n = max(n, 2 * len(cache[0]))
-        tau = [0] * (n + 1)
-        sigma = [0] * (n + 1)
-        for d in range(1, n + 1):
-            for multiple in range(d, n + 1, d):
-                tau[multiple] += 1
-                sigma[multiple] += d
-        cache = (tau, sigma)
+        cache = _sieve(max(n, 2 * len(cache[0])))
         _sieve_cache = cache
     return cache
 
@@ -165,18 +207,17 @@ def h_direct(d: int) -> int:
     return count
 
 
-def enumerate_orphans(d: int) -> list[Plft]:
-    """All orphans with determinant d in the a > c, b < d' cone.
+def count_orphans(d: int) -> int:
+    """Number of orphans with determinant d, by the sizes of residue classes.
 
-    (The opposite cone holds their reciprocals, with determinant -d.)
     Writing a = c + p and d' = b + q with p, q >= 1 turns the
     determinant into p*q + p*b + q*c = D.  For each p, q with p*q <= D
-    the admissible b form one residue class modulo q/gcd(p, q), and c
-    follows from b.  The list has exactly h_closed(d) members; order
-    is by (a - c, d' - b, b).
+    the admissible b, from 0 to (D - p*q)//p, form one residue class
+    modulo q/gcd(p, q), and c follows from b; the count adds up the
+    sizes of the classes and builds no matrix.
     """
     _check_positive(d)
-    found = []
+    count = 0
     for p in range(1, d + 1):
         for q in range(1, d // p + 1):
             rest = d - p * q
@@ -185,10 +226,10 @@ def enumerate_orphans(d: int) -> list[Plft]:
                 continue
             step = q // g
             first = (rest // g) * pow(p // g, -1, step) % step
-            for b in range(first, rest // p + 1, step):
-                c = (rest - p * b) // q
-                found.append(Plft(c + p, b, c, b + q))
-    return found
+            top = rest // p
+            if first <= top:
+                count += (top - first) // step + 1
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +274,7 @@ def census_row(d: int) -> CensusRow:
         tau=divisor_tau(d),
         h_closed=h_closed(d),
         h_direct=h_direct(d),
-        orphan_count=len(enumerate_orphans(d)),
+        orphan_count=count_orphans(d),
     )
 
 
@@ -248,13 +289,13 @@ def census_rows(dmax: int) -> list[CensusRow]:
 
 def _summatory(xs: list[int]) -> list[int]:
     """sum_{D<=x} h(D) for each x in xs, by the prefix-sum identity in the module docstring."""
-    top = max(xs)
-    tau, sigma = _sieves(top)
-    tau_prefix = list(accumulate(tau[: top + 1]))
+    tau, sigma = _sieve(max(xs))
+    tau_prefix = list(accumulate(tau))
     sums = []
     for x in xs:
-        conv = sum(map(mul, tau[1:x], tau_prefix[x - 1:0:-1]))
-        sigma_sum = sum(sigma[1:x + 1])
+        # tau[1..x-1] against T[x-1..1], read in place: a slice would copy up to x entries
+        conv = sum(map(mul, islice(tau, 1, x), islice(reversed(tau_prefix), len(tau) - x, None)))
+        sigma_sum = sum(islice(sigma, 1, x + 1))
         paired = conv + tau_prefix[x] - sigma_sum
         if paired % 2:
             raise InternalInvariantError(f"odd distinct-size pair count {paired} summed to x={x}")

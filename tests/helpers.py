@@ -1,5 +1,6 @@
 """Shared strategies and independent oracles for the test suite."""
 
+import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -149,6 +150,61 @@ def orphans_by_definition(d: int) -> set:
         for a in top for b in top for c in top for dd in top
         if a * dd - b * c == d and a > c and dd > b
     }
+
+
+def enumerate_orphans(d: int) -> list[Plft]:
+    """All orphans with determinant d in the a > c, b < d' cone.
+
+    (The opposite cone holds their reciprocals, with determinant -d.)
+    Writing a = c + p and d' = b + q with p, q >= 1 turns the
+    determinant into p*q + p*b + q*c = D.  For each p, q with p*q <= D
+    the admissible b form one residue class modulo q/gcd(p, q), and c
+    follows from b.  The list has exactly h_closed(d) members; order
+    is by (a - c, d' - b, b).
+    """
+    found = []
+    for p in range(1, d + 1):
+        for q in range(1, d // p + 1):
+            rest = d - p * q
+            g = math.gcd(p, q)
+            if rest % g:
+                continue
+            step = q // g
+            first = (rest // g) * pow(p // g, -1, step) % step
+            for b in range(first, rest // p + 1, step):
+                c = (rest - p * b) // q
+                found.append(Plft(c + p, b, c, b + q))
+    return found
+
+
+def sieve_by_divisor_multiples(n: int) -> tuple:
+    """tau[0..n] and sigma[0..n] (index 0 unused): each d adds itself to its multiples.
+
+    O(n log n) steps; the reference for the linear sieve.
+    """
+    tau = [0] * (n + 1)
+    sigma = [0] * (n + 1)
+    for d in range(1, n + 1):
+        for multiple in range(d, n + 1, d):
+            tau[multiple] += 1
+            sigma[multiple] += d
+    return tau, sigma
+
+
+def constructions(monkeypatch, fn, *args, cls=Plft):
+    """fn(*args) and the number of ``cls`` values constructed while it ran."""
+    count = 0
+    original = cls.__post_init__
+
+    def counting(self):
+        nonlocal count
+        count += 1
+        original(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cls, "__post_init__", counting)
+        result = fn(*args)
+    return result, count
 
 
 def iter_partitions(d: int, largest=None):

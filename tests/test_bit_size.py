@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import constructions
 from plft_forest import (
     IDENTITY,
     LEFT,
@@ -35,22 +36,6 @@ ROOT = Plft(2, 1, 1, 2)
 MOST_BUILT = 50
 
 
-def _built(monkeypatch, fn, *args, cls=Plft):
-    """fn(*args) and the number of ``cls`` values constructed while it ran."""
-    count = 0
-    original = cls.__post_init__
-
-    def counting(self):
-        nonlocal count
-        count += 1
-        original(self)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(cls, "__post_init__", counting)
-        result = fn(*args)
-    return result, count
-
-
 def _product(*matrices):
     a, b, c, d = 1, 0, 0, 1
     for e, f, g, h in matrices:
@@ -65,25 +50,25 @@ def _closed_form(root):
 
 
 def test_apply_word_builds_one_plft_per_call(monkeypatch):
-    w, built = _built(monkeypatch, apply_word, ROOT, WORD)
+    w, built = constructions(monkeypatch, apply_word, ROOT, WORD)
     assert w == _closed_form(ROOT)
     assert built <= MOST_BUILT
 
 
 def test_root_by_iteration_takes_runs_whole(monkeypatch):
-    (root, word), built = _built(monkeypatch, root_by_iteration, _closed_form(ROOT))
+    (root, word), built = constructions(monkeypatch, root_by_iteration, _closed_form(ROOT))
     assert root == ROOT and word == WORD
     assert built <= MOST_BUILT
 
 
 def test_plft_cf_expand_quotients_are_run_lengths(monkeypatch):
-    cf, built = _built(monkeypatch, plft_cf_expand, _closed_form(ROOT))
+    cf, built = constructions(monkeypatch, plft_cf_expand, _closed_form(ROOT))
     assert cf.quotients == (2, 7, RUN, 3) and cf.tail == ROOT
     assert built <= MOST_BUILT
 
 
 def test_decompose_special_takes_runs_whole(monkeypatch):
-    word, built = _built(monkeypatch, decompose_special, _closed_form(IDENTITY))
+    word, built = constructions(monkeypatch, decompose_special, _closed_form(IDENTITY))
     assert word == WORD
     assert built <= MOST_BUILT
 
@@ -141,7 +126,7 @@ def _l_run_child(z, k, u):
     ],
 )
 def test_ancestor_runs_takes_runs_whole(monkeypatch, z, params, runs, root):
-    result, built = _built(monkeypatch, ancestor_runs, z, params, cls=GaussianRational)
+    result, built = constructions(monkeypatch, ancestor_runs, z, params, cls=GaussianRational)
     assert result == (root, runs)
     assert built <= MOST_BUILT
 
@@ -153,7 +138,7 @@ def _chain_and_replay(z, params):
 
 def test_ancestor_chain_and_replay_take_runs_whole(monkeypatch):
     z, params = _gaussian(2 * 10**6, 1), OrphanParams(1, 1)
-    (root, steps, back), built = _built(monkeypatch, _chain_and_replay, z, params, cls=GaussianRational)
+    (root, steps, back), built = constructions(monkeypatch, _chain_and_replay, z, params, cls=GaussianRational)
     assert root == _gaussian(1, 1) and back == z
     assert steps.runs == (1999999,) and len(steps) == 1999999
     assert steps[0].value == _gaussian(2 * 10**6 - 1, 1) and steps[-1].value == root
@@ -167,6 +152,6 @@ def test_ancestor_runs_alternating_single_moves(monkeypatch, u, v):
     z = root
     for i in reversed(range(200)):
         z = apply_complex_move(z, LEFT if i % 2 else RIGHT, params)
-    result, built = _built(monkeypatch, ancestor_runs, z, params, cls=GaussianRational)
+    result, built = constructions(monkeypatch, ancestor_runs, z, params, cls=GaussianRational)
     assert result == (root, (1,) * 200)
     assert built <= MOST_BUILT

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -9,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import iter_partitions, nu2_brute, orphans_by_definition
+from helpers import (
+    constructions,
+    enumerate_orphans,
+    iter_partitions,
+    nu2_brute,
+    orphans_by_definition,
+    sieve_by_divisor_multiples,
+)
 from plft_forest import census as census_module
 from plft_forest import (
     InternalInvariantError,
@@ -17,9 +25,9 @@ from plft_forest import (
     harmonic_double_sum_reference,
     harmonic_double_sum,
     census_row,
+    count_orphans,
     divisor_sigma,
     divisor_tau,
-    enumerate_orphans,
     h_closed,
     h_direct,
     nu2,
@@ -29,6 +37,14 @@ from plft_forest import (
 
 HVALS = [1, 4, 7, 13, 15, 26, 25, 39, 40, 54, 49, 79, 63, 88, 88]
 REPO = Path(__file__).resolve().parents[1]
+
+
+def _run_fresh(code: str) -> str:
+    """stdout of ``code`` run by a fresh interpreter on this checkout's ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_divisor_functions_examples():
@@ -82,6 +98,39 @@ def test_sieve_grows_geometrically(monkeypatch):
     assert builds <= 12
 
 
+def test_sieve_equals_divisor_multiples():
+    # the short lengths check where the linear sieve stops at the end of
+    # its lists; the 10^4 lists hold every entry up to 10^4
+    for n in [*range(65), 10**4]:
+        assert census_module._sieve(n) == sieve_by_divisor_multiples(n), f"n={n}"
+
+
+@functools.cache
+def _sieve_to_a_million():
+    return census_module._sieve(10**6)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=10**6))
+def test_sieve_against_trial_division(n):
+    tau, sigma = _sieve_to_a_million()
+    assert (tau[n], sigma[n]) == (divisor_tau(n), divisor_sigma(n))
+
+
+def test_summatory_pins_no_sieve():
+    # A fresh process, as in test_route_memory_at_300: the summatory
+    # sieves to its own top and must leave no list held, in the module
+    # cache or elsewhere, once it returns.
+    code = (
+        "import tracemalloc; from plft_forest import census; tracemalloc.start(); "
+        "before = len(census._sieve_cache[0]); census.summatory_h(10**5); "
+        "print(tracemalloc.get_traced_memory()[0], len(census._sieve_cache[0]) - before)"
+    )
+    held, grown = map(int, _run_fresh(code).split())
+    assert held < 64 * 1024
+    assert grown == 0
+
+
 def test_h_closed_table_values():
     assert h_closed(1) == 1
     assert h_closed(12) == 79
@@ -124,19 +173,26 @@ def test_enumerate_orphans_equals_definition():
         assert set(enumerate_orphans(d)) == orphans_by_definition(d), f"D={d}"
 
 
-@pytest.mark.parametrize("route, bound_kib", [("h_direct", 64), ("enumerate_orphans", 2048)])
+def test_count_orphans_equals_list_to_200():
+    for d in range(1, 201):
+        assert count_orphans(d) == len(enumerate_orphans(d)), f"D={d}"
+
+
+def test_census_row_builds_no_plft(monkeypatch):
+    for d in range(1, 61):
+        row, built = constructions(monkeypatch, census_row, d)
+        assert row.orphan_count == row.h_closed and built == 0, f"D={d}"
+
+
+@pytest.mark.parametrize("route, bound_kib", [("h_direct", 64), ("count_orphans", 64)])
 def test_route_memory_at_300(route, bound_kib):
     # A fresh process, because module caches grown by earlier tests in
-    # this one would hide what a cold call allocates.  The enumerator's
-    # bound is dominated by its 7,819-element result.
+    # this one would hide what a cold call allocates.
     code = (
         "import tracemalloc; from plft_forest import census; tracemalloc.start(); "
         f"census.{route}(300); print(tracemalloc.get_traced_memory()[1])"
     )
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < bound_kib * 1024
+    assert int(_run_fresh(code)) < bound_kib * 1024
 
 
 def test_three_routes_agree_to_sixty():
@@ -165,7 +221,7 @@ def test_census_row_catches_a_wrong_trial_division(monkeypatch, name):
 
 @pytest.mark.parametrize(
     "name, wrong",
-    [("h_closed", lambda h: h + 1), ("h_direct", lambda h: h - 1), ("enumerate_orphans", lambda found: found[1:])],
+    [("h_closed", lambda h: h + 1), ("h_direct", lambda h: h - 1), ("count_orphans", lambda h: h - 1)],
 )
 def test_census_row_catches_a_wrong_count(monkeypatch, name, wrong):
     original = getattr(census_module, name)
