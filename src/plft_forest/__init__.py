@@ -1,115 +1,48 @@
-"""Exact arithmetic on the forest of positive linear fractional transformations."""
+"""Exact arithmetic on the forest of positive linear fractional transformations.
 
-from .cf import (
-    PlftContinuedFraction,
-    RootReport,
-    ancestors_of_rational,
-    cf_of_rational,
-    cf_variants,
-    decompose_special,
-    evaluate_cf,
-    evaluate_plft_cf,
-    is_descendant_rational,
-    limit_checks,
-    lr_on_cf,
-    orphan_root_cf,
-    plft_cf_expand,
-    rootz_check,
-)
-from .census import (
-    CensusRow,
-    SeriesPoint,
-    harmonic_double_sum,
-    harmonic_double_sum_reference,
-    census_row,
-    census_rows,
-    count_orphans,
-    divisor_sigma,
-    divisor_tau,
-    h_closed,
-    h_direct,
-    nu2,
-    ratio_series,
-    summatory_h,
-)
-from .complex_forest import (
-    ChainStep,
-    GaussianRational,
-    OrphanParams,
-    ancestor_chain,
-    ancestor_runs,
-    apply_complex_move,
-    complex_parent,
-    epsilon_u,
-    in_d0,
-    is_complex_orphan,
-    replay_chain,
-)
-from .errors import InternalInvariantError
-from .plft import (
-    IDENTITY,
-    LEFT,
-    RIGHT,
-    Plft,
-    RunSteps,
-    Word,
-    apply_word,
-    format_word,
-    parse_word,
-    root_by_iteration,
-    word_of_runs,
-)
+Importing the package loads none of its submodules.  Each public name
+is resolved on first use (PEP 562): the submodule that defines it is
+imported then, and the name is kept in the package namespace, so a
+program pays only for the parts of the library it touches.
+"""
 
-__all__ = [
-    "CensusRow",
-    "ChainStep",
-    "GaussianRational",
-    "IDENTITY",
-    "InternalInvariantError",
-    "LEFT",
-    "OrphanParams",
-    "Plft",
-    "PlftContinuedFraction",
-    "RIGHT",
-    "RootReport",
-    "RunSteps",
-    "SeriesPoint",
-    "Word",
-    "ancestor_chain",
-    "ancestor_runs",
-    "ancestors_of_rational",
-    "apply_complex_move",
-    "apply_word",
-    "harmonic_double_sum",
-    "harmonic_double_sum_reference",
-    "census_row",
-    "census_rows",
-    "cf_of_rational",
-    "cf_variants",
-    "complex_parent",
-    "count_orphans",
-    "decompose_special",
-    "divisor_sigma",
-    "divisor_tau",
-    "epsilon_u",
-    "evaluate_cf",
-    "evaluate_plft_cf",
-    "format_word",
-    "h_closed",
-    "h_direct",
-    "in_d0",
-    "is_complex_orphan",
-    "is_descendant_rational",
-    "limit_checks",
-    "lr_on_cf",
-    "nu2",
-    "orphan_root_cf",
-    "parse_word",
-    "plft_cf_expand",
-    "ratio_series",
-    "replay_chain",
-    "root_by_iteration",
-    "rootz_check",
-    "summatory_h",
-    "word_of_runs",
-]
+from importlib import import_module
+
+_EXPORTS = {
+    "cf": """
+        PlftContinuedFraction RootReport ancestors_of_rational cf_of_rational cf_variants
+        decompose_special evaluate_cf evaluate_plft_cf is_descendant_rational limit_checks
+        lr_on_cf orphan_root_cf plft_cf_expand rootz_check
+    """,
+    "census": """
+        CensusRow SeriesPoint census_row census_rows count_orphans divisor_sigma divisor_tau
+        h_closed h_direct harmonic_double_sum harmonic_double_sum_reference nu2 ratio_series
+        summatory_h
+    """,
+    "complex_forest": """
+        ChainStep GaussianRational OrphanParams ancestor_chain ancestor_runs apply_complex_move
+        complex_parent epsilon_u in_d0 is_complex_orphan replay_chain
+    """,
+    "errors": "InternalInvariantError",
+    "plft": """
+        IDENTITY LEFT RIGHT Plft RunSteps Word apply_word format_word parse_word root_by_iteration
+        word_of_runs
+    """,
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    try:
+        home = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _HOME.keys())

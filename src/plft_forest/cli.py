@@ -1,8 +1,11 @@
 """Command-line surface.
 
 Every subcommand is a thin adapter over the library; no arithmetic
-lives here.  Exit statuses: 0 success, 2 input error, 3 internal
-invariant failure.
+lives here.  Each command imports the library modules it uses when it
+runs, so a process loads only those (``census``, ``series`` and ``aux``
+never load the tree modules), and an input that argparse rejects loads
+none.  Exit statuses: 0 success, 2 input error, 3 internal invariant
+failure.
 """
 
 from __future__ import annotations
@@ -10,20 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cf import (
-    ancestors_of_rational,
-    cf_of_rational,
-    decompose_special,
-    format_rational_cf,
-    is_descendant_rational,
-    orphan_root_cf,
-    parse_rational,
-    plft_cf_expand,
-)
-from .census import harmonic_double_sum_reference, harmonic_double_sum, census_rows, ratio_series
-from .complex_forest import GaussianRational, OrphanParams, ancestor_chain, ancestor_runs, is_complex_orphan
 from .errors import InternalInvariantError
-from .plft import Plft, format_word, root_by_iteration, word_of_runs
 
 
 def _parse_points(text: str) -> list[int]:
@@ -37,6 +27,9 @@ def _parse_points(text: str) -> list[int]:
 
 
 def _cmd_root(args) -> str:
+    from .cf import orphan_root_cf
+    from .plft import Plft, format_word, root_by_iteration
+
     w = Plft.parse(args.plft)
     root, word = root_by_iteration(w)
     report = orphan_root_cf(w)
@@ -48,6 +41,9 @@ def _cmd_root(args) -> str:
 
 
 def _cmd_cf(args) -> str:
+    from .cf import cf_of_rational, format_rational_cf, parse_rational, plft_cf_expand
+    from .plft import Plft
+
     if "," in args.value:
         return str(plft_cf_expand(Plft.parse(args.value)))
     r = parse_rational(args.value)
@@ -57,11 +53,16 @@ def _cmd_cf(args) -> str:
 
 
 def _cmd_decompose(args) -> str:
+    from .cf import decompose_special
+    from .plft import Plft, format_word
+
     word = decompose_special(Plft.parse(args.plft))
     return "none" if word is None else f"word={format_word(word)}"
 
 
 def _cmd_descend(args) -> str:
+    from .cf import ancestors_of_rational, is_descendant_rational, parse_rational
+
     first = parse_rational(args.ancestor)
     if args.target is None:
         return "\n".join(str(a) for a in ancestors_of_rational(first))
@@ -69,6 +70,8 @@ def _cmd_descend(args) -> str:
 
 
 def _cmd_census(args) -> str:
+    from .census import census_rows
+
     lines = ["D,nu2,sigma,tau,h"]
     for row in census_rows(args.max):
         lines.append(f"{row.D},{row.nu2},{row.sigma},{row.tau},{row.h_closed}")
@@ -76,6 +79,8 @@ def _cmd_census(args) -> str:
 
 
 def _cmd_series(args) -> str:
+    from .census import ratio_series
+
     lines = ["x,summatory,reference,ratio"]
     for point in ratio_series(_parse_points(args.points)):
         lines.append(f"{point.x},{point.summatory},{point.reference!r},{point.ratio!r}")
@@ -83,6 +88,8 @@ def _cmd_series(args) -> str:
 
 
 def _cmd_aux(args) -> str:
+    from .census import harmonic_double_sum, harmonic_double_sum_reference
+
     lines = ["x,sum,reference,ratio"]
     for x in _parse_points(args.points):
         total = harmonic_double_sum(x)
@@ -92,14 +99,21 @@ def _cmd_aux(args) -> str:
 
 
 def _params(args) -> OrphanParams:
+    from .complex_forest import OrphanParams
+
     return OrphanParams(u=args.u, v=args.v)
 
 
 def _cmd_corphan(args) -> str:
+    from .complex_forest import GaussianRational, is_complex_orphan
+
     return "true" if is_complex_orphan(GaussianRational.parse(args.z), _params(args)) else "false"
 
 
 def _cmd_cchain(args) -> str:
+    from .complex_forest import GaussianRational, ancestor_chain, ancestor_runs
+    from .plft import word_of_runs
+
     z, params = GaussianRational.parse(args.z), _params(args)
     if args.format == "csv":
         lines = ["step,move,re,im"]

@@ -1,7 +1,11 @@
 """Shared strategies and independent oracles for the test suite."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -246,3 +250,16 @@ def first_rows_rationals(rows: int) -> list:
         out.extend(nxt)
         frontier = nxt
     return out
+
+
+# ---------------------------------------------------------------------------
+# fresh interpreters
+# ---------------------------------------------------------------------------
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def run_python(*argv, cwd=None):
+    """Run ``python *argv`` in a fresh interpreter that imports this checkout's ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, cwd=cwd, timeout=120)

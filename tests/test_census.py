@@ -1,10 +1,6 @@
 import functools
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +12,7 @@ from helpers import (
     iter_partitions,
     nu2_brute,
     orphans_by_definition,
+    run_python,
     sieve_by_divisor_multiples,
 )
 from plft_forest import census as census_module
@@ -36,13 +33,11 @@ from plft_forest import (
 )
 
 HVALS = [1, 4, 7, 13, 15, 26, 25, 39, 40, 54, 49, 79, 63, 88, 88]
-REPO = Path(__file__).resolve().parents[1]
 
 
 def _run_fresh(code: str) -> str:
     """stdout of ``code`` run by a fresh interpreter on this checkout's ``src``."""
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

@@ -1,20 +1,16 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
+import contextlib
+import io
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import REPO, run_python
 from plft_forest import census_rows
 from plft_forest.cli import main
 
 HVALS = [1, 4, 7, 13, 15, 26, 25, 39, 40, 54, 49, 79, 63, 88, 88]
-REPO = Path(__file__).resolve().parents[1]
-
-
-def run_python(*argv, cwd=None):
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
 
 
 def run(capsys, *argv):
@@ -145,7 +141,8 @@ def test_unwritable_out_exits_2(capsys, tmp_path):
 
 def test_cli_import_loads_only_the_standard_library():
     code = (
-        "import sys; before = set(sys.modules); import plft_forest.cli; "
+        "import sys; before = set(sys.modules); "
+        "import plft_forest.plft, plft_forest.cf, plft_forest.census, plft_forest.complex_forest, plft_forest.cli; "
         "print(sorted({n.partition('.')[0] for n in set(sys.modules) - before} - set(sys.stdlib_module_names)))"
     )
     proc = run_python("-c", code)
@@ -178,3 +175,94 @@ def test_unknown_command_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+LOADED_BY = (
+    "import contextlib, io, sys\n"
+    "from plft_forest.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+    "    try:\n"
+    "        main(sys.argv[1:])\n"
+    "    except SystemExit:\n"
+    "        pass\n"
+    "print(' '.join(sorted(n for n in sys.modules if n.startswith('plft_forest.') or n == 'fractions')))\n"
+)
+SHELL = {"plft_forest.cli", "plft_forest.errors"}
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (("root", "7,8,4,5"), {"plft_forest.cf", "plft_forest.plft", "fractions"}),
+        (("census", "--max", "15"), {"plft_forest.census"}),
+        (("cchain", "1/4+1/4*i"), {"plft_forest.complex_forest", "plft_forest.plft", "fractions"}),
+        (("census", "--max", "abc"), set()),  # refused by argparse
+    ],
+)
+def test_command_loads_only_its_modules(argv, loaded):
+    proc = run_python("-c", LOADED_BY, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) == SHELL | loaded
+
+
+# Sizes stay small (--max <= 30, points <= 10^4, magnitudes <= 10^3) so
+# that every example answers in milliseconds; junk holds no digits, so it
+# never parses as a larger number.
+_JUNK = st.text(alphabet="-+/*,.ix e", max_size=6)
+_MAGNITUDE = st.integers(0, 1000) | st.integers(-1000, 1000)
+_INT = _MAGNITUDE.map(str)
+_RATIONAL = st.builds("{}/{}".format, _MAGNITUDE, _MAGNITUDE)
+_NUMBER = st.one_of(_INT, _RATIONAL)
+_PLFT = (st.lists(_MAGNITUDE, min_size=4, max_size=4) | st.lists(_MAGNITUDE, min_size=3, max_size=5)).map(
+    lambda xs: ",".join(map(str, xs))
+)
+_COMPLEX = st.builds("{}+{}*i".format, _NUMBER, _NUMBER)
+_VALUE = st.one_of(_NUMBER, _PLFT, _COMPLEX, _JUNK)
+_POINTS = st.one_of(st.lists(st.integers(-10, 10**4), max_size=3).map(lambda xs: ",".join(map(str, xs))), _JUNK)
+# what each command needs, mostly well-formed so that most examples reach the library
+_REQUIRED = {
+    "root": st.tuples(st.one_of(_PLFT, _VALUE)),
+    "decompose": st.tuples(st.one_of(_PLFT, _VALUE)),
+    "cf": st.tuples(_VALUE),
+    "descend": st.lists(st.one_of(_RATIONAL, _VALUE), min_size=1, max_size=2).map(tuple),
+    "census": st.tuples(st.just("--max"), st.one_of(st.integers(-5, 30).map(str), _JUNK)),
+    "series": st.tuples(st.just("--points"), _POINTS),
+    "aux": st.tuples(st.just("--points"), _POINTS),
+    "corphan": st.tuples(st.one_of(_COMPLEX, _VALUE)),
+    "cchain": st.tuples(st.one_of(_COMPLEX, _VALUE)),
+    "frobnicate": st.tuples(),
+}
+_OUT = st.tuples(st.just("--out"), st.sampled_from(["{tmp}/out.txt", "{tmp}/missing/out.txt", "{tmp}"]))
+_COMPLEX_OPTIONS = st.one_of(
+    st.tuples(st.sampled_from(["--u", "--v"]), st.one_of(_INT, _JUNK)),
+    st.tuples(st.just("--format"), st.sampled_from(["text", "csv", "xml"])),
+    _OUT,
+)
+_EXTRA = st.one_of(
+    _VALUE.map(lambda v: (v,)),
+    _COMPLEX_OPTIONS,
+    # a flag without its value; not --out, whose value could then be a file name in the working directory
+    st.sampled_from(["--max", "--points", "--u", "--format", "-h"]).map(lambda flag: (flag,)),
+)
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(_REQUIRED)))
+    fitting = _COMPLEX_OPTIONS if command in ("corphan", "cchain") else _OUT
+    pieces = [draw(_REQUIRED[command]), *draw(st.lists(fitting | _EXTRA, max_size=2))]
+    return [command, *(token for piece in pieces for token in piece)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(argvs())
+def test_fuzz_main_exits_0_or_2(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [token.format(tmp=tmp) for token in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: 2 on a usage error, 0 after -h
+                code = exc.code
+    assert code in (0, 2), (argv, code, err.getvalue())

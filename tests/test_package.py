@@ -1,0 +1,46 @@
+"""The package namespace: every public name resolves on first use, and importing it loads no submodule."""
+
+import importlib
+import inspect
+
+import pytest
+
+import plft_forest
+from helpers import run_python
+
+# the names bench/workloads.py reads off the package
+BENCH_NAMES = (
+    "GaussianRational", "OrphanParams", "Plft", "ancestor_chain", "ancestors_of_rational", "apply_word",
+    "census_row", "decompose_special", "evaluate_plft_cf", "harmonic_double_sum", "is_descendant_rational",
+    "orphan_root_cf", "plft_cf_expand", "ratio_series", "replay_chain", "root_by_iteration", "summatory_h",
+)
+
+
+@pytest.mark.parametrize("name", plft_forest.__all__)
+def test_name_is_the_object_of_its_home_module(name):
+    home = importlib.import_module(f"plft_forest.{plft_forest._HOME[name]}")
+    value = getattr(plft_forest, name)
+    assert value is getattr(home, name)
+    if inspect.isclass(value) or inspect.isfunction(value):
+        assert value.__module__ == home.__name__
+
+
+def test_star_import_and_dir_list_every_name():
+    namespace = {}
+    exec("from plft_forest import *", namespace)
+    assert set(plft_forest.__all__) <= namespace.keys()
+    assert set(plft_forest.__all__) <= set(dir(plft_forest))
+    assert set(BENCH_NAMES) <= set(plft_forest.__all__)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        plft_forest.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        from plft_forest import no_such_name  # noqa: F401
+
+
+def test_import_loads_no_submodule():
+    proc = run_python("-c", "import sys, plft_forest; print(sorted(n for n in sys.modules if n.startswith('plft_forest')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['plft_forest']\n"
