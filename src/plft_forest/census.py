@@ -49,11 +49,10 @@ summatory function sieves to its own top and keeps nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate, islice
 from operator import mul
 
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, Value
 
 
 # ---------------------------------------------------------------------------
@@ -236,17 +235,22 @@ def count_orphans(d: int) -> int:
 # verified census rows
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(Value):
     """One determinant's census, with all three routes recorded."""
 
-    D: int
-    nu2: int
-    sigma: int
-    tau: int
-    h_closed: int
-    h_direct: int
-    orphan_count: int
+    __slots__ = ("D", "nu2", "sigma", "tau", "h_closed", "h_direct", "orphan_count")
+
+    def __init__(
+        self, D: int, nu2: int, sigma: int, tau: int, h_closed: int, h_direct: int, orphan_count: int
+    ) -> None:
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "nu2", nu2)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "h_closed", h_closed)
+        object.__setattr__(self, "h_direct", h_direct)
+        object.__setattr__(self, "orphan_count", orphan_count)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         # nu2 reads tau and sigma from the sieve, the closed formula from
@@ -309,14 +313,17 @@ def summatory_h(x: int) -> int:
     return _summatory([x])[0]
 
 
-@dataclass(frozen=True)
-class SeriesPoint:
+class SeriesPoint(Value):
     """One summatory sample against the reference curve x^2 log(x)^2 / 4."""
 
-    x: int
-    summatory: int
-    reference: float
-    ratio: float
+    __slots__ = ("x", "summatory", "reference", "ratio")
+
+    def __init__(self, x: int, summatory: int, reference: float, ratio: float) -> None:
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "summatory", summatory)
+        object.__setattr__(self, "reference", reference)
+        object.__setattr__(self, "ratio", ratio)
+        self.__post_init__()
 
 
 def ratio_series(xs: list[int]) -> list[SeriesPoint]:

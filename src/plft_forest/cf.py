@@ -28,11 +28,10 @@ the monoid generated by L1 and R1 through `decompose_special`.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, Value
 from .plft import IDENTITY, LEFT, RIGHT, Move, Plft, RunSteps, Word, _orphan, parent_runs, word_of_runs
 
 Quotients = tuple[int, ...]
@@ -125,16 +124,19 @@ def _ordered_variants(terms: Quotients) -> tuple[Quotients, "Quotients | None"]:
 # PLFT continued fractions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PlftContinuedFraction:
+class PlftContinuedFraction(Value):
     """Partial quotients plus an orphan tail.
 
     Stands for q0 + 1/(q1 + ... + 1/(q_{k-1} + 1/tail)); a plain orphan
     has no quotients at all.
     """
 
-    quotients: Quotients
-    tail: Plft
+    __slots__ = ("quotients", "tail")
+
+    def __init__(self, quotients: Quotients, tail: Plft) -> None:
+        object.__setattr__(self, "quotients", quotients)
+        object.__setattr__(self, "tail", tail)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.quotients:
@@ -213,8 +215,7 @@ def lr_on_cf(cf: PlftContinuedFraction, move: Move) -> PlftContinuedFraction:
 # orphan root from the rational expansions of a/c and b/d
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RootReport:
+class RootReport(Value):
     """Result of the continued-fraction route to the orphan root.
 
     ``cf`` is the verified expansion of the PLFT after the one
@@ -225,9 +226,13 @@ class RootReport:
     ``root`` is always expressed in the original variable.
     """
 
-    root: Plft
-    cf: PlftContinuedFraction
-    reciprocal_applied: bool = False
+    __slots__ = ("root", "cf", "reciprocal_applied")
+
+    def __init__(self, root: Plft, cf: PlftContinuedFraction, reciprocal_applied: bool = False) -> None:
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "cf", cf)
+        object.__setattr__(self, "reciprocal_applied", reciprocal_applied)
+        self.__post_init__()
 
 
 def _residual_column(terms: Quotients, shared: int, pivot: int, scale: int) -> tuple[int, int]:

@@ -98,7 +98,7 @@ def _cmd_aux(args) -> str:
     return "\n".join(lines)
 
 
-def _params(args) -> OrphanParams:
+def _params(args):
     from .complex_forest import OrphanParams
 
     return OrphanParams(u=args.u, v=args.v)

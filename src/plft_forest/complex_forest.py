@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, Value
 from .plft import LEFT, RIGHT, Move, RunSteps
 
 _PART = r"[+-]?\d+(?:/\d+)?"
@@ -40,12 +39,15 @@ _GAUSSIAN_RE = re.compile(rf"^({_PART})({_SIGNED_PART})\*i$")
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(Value):
     """Exact complex number with rational real and imaginary parts."""
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction, im: Fraction) -> None:
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         for name in ("re", "im"):
@@ -72,12 +74,15 @@ class GaussianRational:
         return f"{self.re}{sign}{self.im}*i"
 
 
-@dataclass(frozen=True)
-class OrphanParams:
+class OrphanParams(Value):
     """The generator pair (u, v), both positive integers."""
 
-    u: int
-    v: int
+    __slots__ = ("u", "v")
+
+    def __init__(self, u: int, v: int) -> None:
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         for name in ("u", "v"):
@@ -86,8 +91,7 @@ class OrphanParams:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(Value):
     """One upward step: the parent reached, and how the child hangs off it.
 
     ``move`` is the child relation (the parent's L- or R-child is the
@@ -95,9 +99,13 @@ class ChainStep:
     imaginary part, zero for R steps and strictly positive for L steps.
     """
 
-    value: GaussianRational
-    move: Move
-    im_increase: Fraction
+    __slots__ = ("value", "move", "im_increase")
+
+    def __init__(self, value: GaussianRational, move: Move, im_increase: Fraction) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "move", move)
+        object.__setattr__(self, "im_increase", im_increase)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.move == RIGHT and self.im_increase != 0:

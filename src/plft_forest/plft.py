@@ -26,8 +26,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import accumulate, groupby
+
+from .errors import Value
 
 LEFT = "L"
 RIGHT = "R"
@@ -42,14 +43,27 @@ def _check_move(move: str) -> str:
     return move
 
 
-@dataclass(frozen=True)
-class Plft:
+class Plft(Value):
     """The transformation (a*z + b)/(c*z + d), stored as [[a, b], [c, d]]."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+        self.__post_init__()
+
+    # Plft equality checks every orphan_root_cf answer and every CLI root;
+    # Value.__eq__, with its two attrgetter calls, would double its cost.
+    # Defining __eq__ drops the inherited hash, so it is restored below.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.c == other.c and self.d == other.d
+
+    __hash__ = Value.__hash__
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "c", "d"):

@@ -140,14 +140,18 @@ def test_unwritable_out_exits_2(capsys, tmp_path):
 
 
 def test_cli_import_loads_only_the_standard_library():
+    # and neither dataclasses nor the inspect it imports, which were the
+    # largest import the library made; the value classes need neither
     code = (
         "import sys; before = set(sys.modules); "
         "import plft_forest.plft, plft_forest.cf, plft_forest.census, plft_forest.complex_forest, plft_forest.cli; "
-        "print(sorted({n.partition('.')[0] for n in set(sys.modules) - before} - set(sys.stdlib_module_names)))"
+        "new = set(sys.modules) - before; "
+        "print(sorted({n.partition('.')[0] for n in new} - set(sys.stdlib_module_names))); "
+        "print(sorted({'dataclasses', 'inspect'} & new))"
     )
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "['plft_forest']\n"
+    assert proc.stdout == "['plft_forest']\n[]\n"
 
 
 def test_figure_data_script(tmp_path):

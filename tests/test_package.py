@@ -1,7 +1,8 @@
-"""The package namespace: every public name resolves on first use, and importing it loads no submodule."""
+"""The package namespace: every public name resolves on first use, importing it loads no submodule, and every annotation resolves."""
 
 import importlib
 import inspect
+import typing
 
 import pytest
 
@@ -44,3 +45,18 @@ def test_import_loads_no_submodule():
     proc = run_python("-c", "import sys, plft_forest; print(sorted(n for n in sys.modules if n.startswith('plft_forest')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "['plft_forest']\n"
+
+
+MODULES = ("plft", "cf", "census", "complex_forest", "cli", "errors")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_annotation_resolves(module):
+    home = importlib.import_module(f"plft_forest.{module}")
+    for value in vars(home).values():
+        if getattr(value, "__module__", None) != home.__name__:
+            continue
+        members = vars(value).values() if inspect.isclass(value) else ()
+        for fn in (value, *members):
+            if inspect.isfunction(fn) or inspect.isclass(fn):
+                typing.get_type_hints(fn)
