@@ -7,11 +7,14 @@ independent routes are provided:
   * h_closed   -- nu2(D) + 2*sigma(D) - tau(D), where nu2 counts the
                   partitions of D using exactly two distinct part sizes
                   and sigma/tau are the divisor sum and count;
-  * h_direct   -- the double sum over the entries b, c >= 0 with
-                  b + c < D of the divisors a of D + b*c that put the
-                  matrix in the orphan cone a > c, d > b, found by
-                  trial division over the window of a that the cone
-                  allows;
+  * h_direct   -- the definition read with d as an interval: for
+                  each a > c >= 0 and b >= 0 the determinants a*d - b*c
+                  over d > b form a progression with step a that starts
+                  at D0 = a + b*(a - c).  One pass marks every start up
+                  to N and a prefix sum with stride a counts, for every
+                  D <= N at once, the orphans with that a.  It takes no
+                  gcd, no modular inverse, no divisor test and no
+                  residue class;
   * count_orphans -- the column differences p = a - c, q = d - b >= 1
                   turn the determinant into p*q + p*b + q*c = D, so
                   that for each p, q the entry b runs over one residue
@@ -19,7 +22,12 @@ independent routes are provided:
                   sizes of those classes and builds no matrix.  (The
                   literal list of the matrices is a test oracle.)
 
-The three share no loop and no table.
+The three share no loop and no table.  The direct pass walks the
+entries a, c and b and lets d run; count_orphans walks the column
+differences p = a - c and q = d - b and solves for b.  Counting the
+starts of one a at once, as the divisors a - c of D0 - a, would write
+D = a*(d - b) + b*(a - c), which is count_orphans' equation, and the
+two routes would then check one computation against itself.
 
 The summatory function of h grows like x^2 * log(x)^2 / 4; the series
 helpers emit the data behind that comparison, and `harmonic_double_sum` is the
@@ -50,7 +58,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate, islice
-from operator import mul
+from operator import add, mul
 
 from .errors import InternalInvariantError, Value
 
@@ -188,22 +196,37 @@ def h_closed(d: int) -> int:
     return nu2(d) + 2 * divisor_sigma(d) - divisor_tau(d)
 
 
-def h_direct(d: int) -> int:
-    """Orphan count by direct summation over the (b, c) grid.
+def _direct_pass(n: int) -> list[int]:
+    """h(D) for every D <= n (index 0 unused), by the orphan cone's progressions.
 
-    For each b, c >= 0 with b + c < d, counts the divisors a of
-    n = D + b*c with a > c and n/a > b.  The second condition is
-    b*(a - c) < D, so only a in c < a <= c + (D-1)//b (a <= D when
-    b = 0) need be tested for dividing n.
+    An orphan has a > c >= 0 and d > b >= 0.  With a, b, c fixed, its
+    determinant a*d - b*c runs over D0, D0 + a, D0 + 2a, ... as d runs
+    from b + 1 up, where D0 = a + b*(a - c).  For each a the pass marks
+    every start D0 <= n, one mark per (b, c), and a prefix sum with
+    stride a turns the marks into the number of orphans with that a at
+    every D <= n.  That is about n^2 log(n) / 2 marks and n^2 / 2 sums.
+    """
+    total = [0] * (n + 1)
+    for a in range(1, n + 1):
+        starts = [0] * (n + 1)
+        for c in range(a):
+            for d0 in range(a, n + 1, a - c):  # d0 = a + b*(a - c), b = 0, 1, ...
+                starts[d0] += 1
+        # no start lies below a, so starts[a:2a] are already final
+        for lo in range(2 * a, n + 1, a):
+            starts[lo:lo + a] = map(add, starts[lo:lo + a], starts[lo - a:lo])
+        total = list(map(add, total, starts))
+    return total
+
+
+def h_direct(d: int) -> int:
+    """Orphan count read from the definition: entry d of the direct pass to d.
+
+    The pass is `_direct_pass`; see the module docstring for why it
+    shares no loop or table with `count_orphans`.
     """
     _check_positive(d)
-    count = 0
-    for b in range(d):
-        for c in range(d - b):
-            n = d + b * c
-            top = c + (d - 1) // b if b else d
-            count += sum(1 for a in range(c + 1, top + 1) if n % a == 0)
-    return count
+    return _direct_pass(d)[d]
 
 
 def count_orphans(d: int) -> int:
@@ -268,23 +291,29 @@ class CensusRow(Value):
             )
 
 
-def census_row(d: int) -> CensusRow:
-    """Compute one row by all three routes; raises if they disagree."""
-    _check_positive(d)
+def _row(d: int, direct: int) -> CensusRow:
     return CensusRow(
         D=d,
         nu2=nu2(d),
         sigma=divisor_sigma(d),
         tau=divisor_tau(d),
         h_closed=h_closed(d),
-        h_direct=h_direct(d),
+        h_direct=direct,
         orphan_count=count_orphans(d),
     )
 
 
+def census_row(d: int) -> CensusRow:
+    """Compute one row by all three routes; raises if they disagree."""
+    _check_positive(d)
+    return _row(d, h_direct(d))
+
+
 def census_rows(dmax: int) -> list[CensusRow]:
+    """Rows 1..dmax, with the direct counts of all of them from one pass."""
     _check_positive(dmax)
-    return [census_row(d) for d in range(1, dmax + 1)]
+    direct = _direct_pass(dmax)
+    return [_row(d, direct[d]) for d in range(1, dmax + 1)]
 
 
 # ---------------------------------------------------------------------------

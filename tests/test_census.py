@@ -22,6 +22,7 @@ from plft_forest import (
     harmonic_double_sum_reference,
     harmonic_double_sum,
     census_row,
+    census_rows,
     count_orphans,
     divisor_sigma,
     divisor_tau,
@@ -223,6 +224,37 @@ def test_census_row_catches_a_wrong_count(monkeypatch, name, wrong):
     monkeypatch.setattr(census_module, name, lambda d: wrong(original(d)))
     with pytest.raises(InternalInvariantError, match="route disagreement"):
         census_row(12)
+
+
+def test_census_rows_runs_the_direct_pass_once(monkeypatch):
+    calls = []
+    original = census_module._direct_pass
+    monkeypatch.setattr(census_module, "_direct_pass", lambda n: calls.append(n) or original(n))
+    census_rows(40)
+    assert calls == [40]
+
+
+def test_census_rows_equal_census_row_to_sixty():
+    assert census_rows(60) == [census_row(d) for d in range(1, 61)]
+
+
+def test_census_rows_catch_a_wrong_direct_count(monkeypatch):
+    original = census_module._direct_pass
+
+    def wrong(n):
+        counts = original(n)
+        counts[12] -= 1
+        return counts
+
+    monkeypatch.setattr(census_module, "_direct_pass", wrong)
+    with pytest.raises(InternalInvariantError, match="route disagreement at D=12"):
+        census_rows(20)
+
+
+def test_three_routes_agree_to_600():
+    # CensusRow checks h_closed == h_direct == count_orphans for every row
+    rows = census_rows(600)
+    assert [row.D for row in rows] == list(range(1, 601))
 
 
 def test_summatory_examples():

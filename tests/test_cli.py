@@ -229,7 +229,7 @@ _REQUIRED = {
     "decompose": st.tuples(st.one_of(_PLFT, _VALUE)),
     "cf": st.tuples(_VALUE),
     "descend": st.lists(st.one_of(_RATIONAL, _VALUE), min_size=1, max_size=2).map(tuple),
-    "census": st.tuples(st.just("--max"), st.one_of(st.integers(-5, 30).map(str), _JUNK)),
+    "census": st.tuples(st.just("--max"), st.one_of(st.integers(-5, 150).map(str), _JUNK)),
     "series": st.tuples(st.just("--points"), _POINTS),
     "aux": st.tuples(st.just("--points"), _POINTS),
     "corphan": st.tuples(st.one_of(_COMPLEX, _VALUE)),
