@@ -10,9 +10,8 @@ from importlib import import_module
 
 _EXPORTS = {
     "cf": """
-        PlftContinuedFraction RootReport ancestors_of_rational cf_of_rational cf_variants
-        decompose_special evaluate_cf evaluate_plft_cf is_descendant_rational limit_checks
-        lr_on_cf orphan_root_cf plft_cf_expand rootz_check
+        PlftContinuedFraction RootReport ancestors_of_rational cf_of_rational decompose_special
+        evaluate_plft_cf is_descendant_rational orphan_root_cf plft_cf_expand
     """,
     "census": """
         CensusRow SeriesPoint census_row census_rows count_orphans divisor_sigma divisor_tau
@@ -20,14 +19,11 @@ _EXPORTS = {
         summatory_h
     """,
     "complex_forest": """
-        ChainStep GaussianRational OrphanParams ancestor_chain ancestor_runs apply_complex_move
-        complex_parent epsilon_u in_d0 is_complex_orphan replay_chain
+        ChainStep GaussianRational OrphanParams ancestor_chain ancestor_runs is_complex_orphan
+        replay_chain
     """,
     "errors": "InternalInvariantError",
-    "plft": """
-        IDENTITY LEFT RIGHT Plft RunSteps Word apply_word format_word parse_word root_by_iteration
-        word_of_runs
-    """,
+    "plft": "IDENTITY LEFT RIGHT Plft RunSteps Word apply_word format_word root_by_iteration word_of_runs",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -20,19 +20,18 @@ different answer: a verified pair writes the input as R^q0 L^q1 ...
 applied to an orphan, and the parent walk, which is unique, then climbs
 exactly those runs to exactly that orphan.  The two routes must agree.
 
-Rational continued fractions are plain tuples of ints.  Words over
-{L, R} relate to expansions through `lr_on_cf`, and to membership in
-the monoid generated by L1 and R1 through `decompose_special`.
+Rational continued fractions are plain tuples of ints.  Membership in
+the monoid generated by L1 and R1 is `decompose_special`, and one walk
+up the tree of positive rationals gives ancestors and descent.
 """
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 from math import gcd
 
 from .errors import InternalInvariantError, Value
-from .plft import IDENTITY, LEFT, RIGHT, Move, Plft, RunSteps, Word, _orphan, parent_runs, word_of_runs
+from .plft import IDENTITY, Plft, RunSteps, Word, _orphan, parent_runs, word_of_runs
 
 Quotients = tuple[int, ...]
 
@@ -72,13 +71,6 @@ def _cf_of_nonneg(n: int, d: int) -> Quotients:
         n, d = d, rem
 
 
-def evaluate_cf(terms: Quotients) -> Fraction:
-    """Exact value of a finite continued fraction."""
-    _validate_cf(terms)
-    n, d = _cf_column(terms)
-    return Fraction(n, d)
-
-
 def _validate_cf(terms: Quotients) -> None:
     if not terms:
         raise ValueError("empty continued fraction")
@@ -88,36 +80,12 @@ def _validate_cf(terms: Quotients) -> None:
 
 def _cf_column(terms: Quotients) -> tuple[int, int]:
     # Column vector (numerator, denominator) of a bracket, folding
-    # x -> t + 1/x from the terminal 1/0.  Empty bracket is 0/1.
-    if not terms:
-        return 0, 1
+    # x -> t + 1/x from the terminal 1/0.
     n, d = 1, 0
     for t in reversed(terms):
         n, d = t * n + d, n
     g = gcd(n, d)
     return n // g, d // g
-
-
-def cf_variants(terms: Quotients) -> set[Quotients]:
-    """The two standard representations of a continued fraction's value.
-
-    [..., q] with q >= 2 pairs with [..., q-1, 1]; the expansion (0,)
-    of zero is alone.  Both members evaluate to the same rational.
-    """
-    _validate_cf(terms)
-    canonical, alternate = _ordered_variants(terms)
-    return {canonical, alternate} if alternate is not None else {canonical}
-
-
-def _ordered_variants(terms: Quotients) -> tuple[Quotients, "Quotients | None"]:
-    # Canonical form first (last term >= 2, or length 1), then the split form.
-    if len(terms) > 1 and terms[-1] == 1:
-        canonical = terms[:-2] + (terms[-2] + 1,)
-    else:
-        canonical = tuple(terms)
-    if canonical == (0,):
-        return canonical, None
-    return canonical, canonical[:-1] + (canonical[-1] - 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -186,29 +154,6 @@ def evaluate_plft_cf(cf: PlftContinuedFraction) -> Plft:
     for q in reversed(cf.quotients):
         a, b, c, d = c + q * a, d + q * b, a, b
     return Plft(a, b, c, d)
-
-
-def lr_on_cf(cf: PlftContinuedFraction, move: Move) -> PlftContinuedFraction:
-    """Expansion of the left or right child, computed on quotients alone.
-
-    R increments q0; L increments q1 when q0 = 0 and otherwise prepends
-    [0, 1].  Matches ``plft_cf_expand`` applied to the corresponding
-    child.  On a bare orphan, R flips the tail into 1 + 1/tail' form.
-    """
-    q = cf.quotients
-    if move == RIGHT:
-        if not q:
-            return PlftContinuedFraction((1,), cf.tail.reciprocal())
-        return PlftContinuedFraction((q[0] + 1,) + q[1:], cf.tail)
-    if move == LEFT:
-        if not q:
-            return PlftContinuedFraction((0, 1), cf.tail)
-        if q[0] == 0:
-            if len(q) == 1:
-                raise ValueError("degenerate expansion [0 | tail] has no second quotient")
-            return PlftContinuedFraction((0, q[1] + 1) + q[2:], cf.tail)
-        return PlftContinuedFraction((0, 1) + q, cf.tail)
-    raise ValueError(f"move must be 'L' or 'R', got {move!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +247,12 @@ def orphan_root_cf(w: Plft) -> RootReport:
 
 
 def _variant_list(n: int, d: int) -> list[Quotients]:
-    # Euclid's quotients do not change when n and d share a factor.
-    canonical, alternate = _ordered_variants(_cf_of_nonneg(n, d))
-    return [canonical] if alternate is None else [canonical, alternate]
+    # n/d's two standard representations, [..., q] (q >= 2 or length 1)
+    # first, then [..., q-1, 1]; zero's (0,) is alone.
+    canonical = _cf_of_nonneg(n, d)
+    if canonical == (0,):
+        return [canonical]
+    return [canonical, canonical[:-1] + (canonical[-1] - 1, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -346,63 +294,47 @@ def decompose_special(m: Plft) -> "Word | None":
     return word_of_runs(runs) if in_monoid else None
 
 
-RECIPROCAL_IDENTITY = Plft(0, 1, 1, 0)
-
-
-def rootz_check(w: Plft) -> bool:
-    """True when the orphan root of w is z or 1/z.
-
-    Defined for c, d nonzero and determinant +-1; anything else is
-    reported via a warning and returns False.
-    """
-    if w.c == 0 or w.d == 0 or abs(w.det) != 1:
-        warnings.warn(
-            f"rootz_check precondition violated for {w.coeffs()}: "
-            f"needs c, d nonzero and determinant +-1 (determinant is {w.det})",
-            stacklevel=2,
-        )
-        return False
-    root = orphan_root_cf(w).root
-    result = root in (IDENTITY, RECIPROCAL_IDENTITY)
-    if _prefix_extension_pair(w) and not result:
-        raise InternalInvariantError(
-            f"{w.coeffs()} satisfies the expansion condition but has root {root.coeffs()}"
-        )
-    return result
-
-
 # ---------------------------------------------------------------------------
 # ancestors and descendants of rationals in the classic tree
 # ---------------------------------------------------------------------------
 
+def _rational_runs(p: int, q: int) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    # Euclid on p/q in lowest terms, one run of parent steps per division:
+    # the runs in parent_runs' form, and (p, q) at the start of each run.
+    runs, starts = [], []
+    while p != q:
+        starts.append((p, q))
+        if len(runs) % 2 == 0:
+            k = (p - 1) // q
+            p -= k * q
+        else:
+            k = (q - 1) // p
+            q -= k * p
+        runs.append(k)
+    return tuple(runs), starts
+
+
 def is_descendant_rational(ancestor: Fraction, target: Fraction) -> bool:
     """Is target a proper descendant of ancestor in the rational tree?
 
-    Decided purely on continued fractions: for some representation pair
-    [q0..qr] of the ancestor and [p0..ps] of the target, s >= r with
-    s - r even, the last r - 1 terms match, and the splice point
-    satisfies p_{s-r} >= q0 with p_{s-r+1} = q1 (q0 nonzero) or
-    p_{s-r+1} >= q1 (q0 zero).  The relation is strict: no value is its
-    own descendant.
+    Asks whether ancestor = P/Q lies on a run of the target's walk up to
+    1/1, the walk of `ancestors_of_rational` (so it is no check of that
+    function).  An R-run of length k from (p, q) holds P/Q iff Q = q,
+    0 < p - P <= k*q and q | p - P; an L-run iff P = p, 0 < q - Q <= k*p
+    and p | q - Q.  So the call costs O(bit size), however long the runs
+    are.  No value is its own descendant.
     """
     ancestor, target = Fraction(ancestor), Fraction(target)
     if ancestor <= 0 or target <= 0:
         raise ValueError("descendant test is defined for positive rationals")
-    if ancestor == target:
-        return False
-    for qs in cf_variants(cf_of_rational(ancestor)):
-        r = len(qs) - 1
-        for ps in cf_variants(cf_of_rational(target)):
-            s = len(ps) - 1
-            if s < r or (s - r) % 2:
-                continue
-            if any(ps[s - r + i] != qs[i] for i in range(2, r + 1)):
-                continue
-            if qs[0] != 0:
-                if ps[s - r] >= qs[0] and (r < 1 or ps[s - r + 1] == qs[1]):
-                    return True
-            elif ps[s - r + 1] >= qs[1]:
+    P, Q = ancestor.numerator, ancestor.denominator
+    runs, starts = _rational_runs(target.numerator, target.denominator)
+    for i, (k, (p, q)) in enumerate(zip(runs, starts)):
+        if i % 2 == 0:
+            if Q == q and 0 < p - P <= k * q and (p - P) % q == 0:
                 return True
+        elif P == p and 0 < q - Q <= k * p and (q - Q) % p == 0:
+            return True
     return False
 
 
@@ -421,45 +353,10 @@ def ancestors_of_rational(w: Fraction) -> RunSteps:
     w = Fraction(w)
     if w <= 0:
         raise ValueError("ancestors are defined for positive rationals")
-    p, q = w.numerator, w.denominator
-    runs, starts = [], []
-    while p != q:
-        starts.append((p, q))
-        if len(runs) % 2 == 0:
-            k = (p - 1) // q
-            p -= k * q
-        else:
-            k = (q - 1) // p
-            q -= k * p
-        runs.append(k)
+    runs, starts = _rational_runs(w.numerator, w.denominator)
 
     def step(i: int, j: int) -> Fraction:
         p, q = starts[i]
         return Fraction(p - j * q, q) if i % 2 == 0 else Fraction(p, q - j * p)
 
-    return RunSteps(tuple(runs), step)
-
-
-# ---------------------------------------------------------------------------
-# limit identities of an expansion
-# ---------------------------------------------------------------------------
-
-def limit_checks(w: Plft, cf: PlftContinuedFraction) -> bool:
-    """Verify the two limit identities tying an expansion to a/c and b/d.
-
-    Substituting the tail's value at infinity into the quotients must
-    reproduce a/c, and its value at zero must reproduce b/d (the fold is
-    projective, so a tail heading to infinity at zero truncates the
-    expansion correctly by itself).  Requires c, d nonzero.
-    """
-    if w.c == 0 or w.d == 0:
-        raise ValueError("limit identities need c and d nonzero")
-
-    def fold(n: int, d: int) -> tuple[int, int]:
-        for q in reversed(cf.quotients):
-            n, d = q * n + d, n
-        return n, d
-
-    n_inf, d_inf = fold(cf.tail.a, cf.tail.c)
-    n_zero, d_zero = fold(cf.tail.b, cf.tail.d)
-    return w.a * d_inf == w.c * n_inf and w.b * d_zero == w.d * n_zero
+    return RunSteps(runs, step)

@@ -20,8 +20,7 @@ Re(1/z) > u, translates 1/z by a multiple of -u.  Each run is maximal,
 so the runs alternate, as Euclid's quotients do, and each L-run strictly
 raises the imaginary part.  That bounds the number of runs by
 2 + log_phi(max(1, 1/Im z)), so every walk ends after O(bit size) runs,
-however long they are.  epsilon_u(y) = 2y/(1 + sqrt(1 - 4*u^2*y^2)) - y,
-the least gain of one L-step at height y, is a float diagnostic only.
+however long they are.
 """
 
 from __future__ import annotations
@@ -114,13 +113,9 @@ class ChainStep(Value):
             raise ValueError("an L step must strictly raise the imaginary part")
 
 
-def in_d0(z: GaussianRational) -> bool:
-    """Strict open first quadrant."""
-    return z.re > 0 and z.im > 0
-
-
 def _require_d0(z: GaussianRational) -> None:
-    if not in_d0(z):
+    # the strict open first quadrant
+    if not (z.re > 0 and z.im > 0):
         raise ValueError(f"{z} is outside the open first quadrant")
 
 
@@ -134,36 +129,6 @@ def is_complex_orphan(z: GaussianRational, params: OrphanParams) -> bool:
     """Membership in the (u, v)-orphan region, exactly."""
     _require_d0(z)
     return z.re <= params.v and not _in_disk(z, params.u)
-
-
-def complex_parent(z: GaussianRational, params: OrphanParams) -> "tuple[GaussianRational, Move] | None":
-    """The unique parent in D0, or None for orphans.
-
-    Right children (Re(z) > v) step back by v; left children (inside
-    the disk |2uz - 1| < 1) invert z -> z/(1 - u*z).  The two cases are
-    mutually exclusive since Re(z) > v >= 1 forces |2uz - 1| > 1.
-    """
-    _require_d0(z)
-    u, v = params.u, params.v
-    if z.re > v:
-        return GaussianRational(z.re - v, z.im), RIGHT
-    if _in_disk(z, u):
-        x, y = z.re, z.im
-        denom = (1 - u * x) ** 2 + (u * y) ** 2
-        return GaussianRational((x * (1 - u * x) - u * y * y) / denom, y / denom), LEFT
-    return None
-
-
-def apply_complex_move(z: GaussianRational, move: Move, params: OrphanParams) -> GaussianRational:
-    """Child action: L_u sends z to z/(u*z + 1), R_v to z + v."""
-    if move == RIGHT:
-        return GaussianRational(z.re + params.v, z.im)
-    if move == LEFT:
-        u = params.u
-        x, y = z.re, z.im
-        denom = (u * x + 1) ** 2 + (u * y) ** 2
-        return GaussianRational((x * (u * x + 1) + u * y * y) / denom, y / denom)
-    raise ValueError(f"move must be 'L' or 'R', got {move!r}")
 
 
 def _parts(z: GaussianRational) -> tuple[int, int, int]:
@@ -193,10 +158,8 @@ def _apply_runs(parts: tuple[int, int, int], runs, params: OrphanParams) -> tupl
     for move, k in runs:
         if move == RIGHT:
             x += k * params.v * q
-        elif move == LEFT:
-            x, y, q = _shift_inverse(x, y, q, k * params.u)
         else:
-            raise ValueError(f"move must be 'L' or 'R', got {move!r}")
+            x, y, q = _shift_inverse(x, y, q, k * params.u)
     return x, y, q
 
 
@@ -244,25 +207,35 @@ def ancestor_runs(z: GaussianRational, params: OrphanParams) -> tuple[GaussianRa
     The answer is verified by replaying the runs from the root, one
     closed form per run; a mismatch raises InternalInvariantError.
     """
+    root, runs, _ = _climb(z, params)
+    return _point(*root), runs
+
+
+def _climb(z: GaussianRational, params: OrphanParams):
+    # The climb of ancestor_runs: the root's (X, Y, Q), the runs, and the
+    # (X, Y, Q) at the start of each run, with the runs verified once.
     _require_d0(z)
     u, v = params.u, params.v
     x, y, q = start = _parts(z)
-    runs = []
+    runs, starts = [], []
     while True:
+        starts.append((x, y, q))
         k = (x - 1) // (v * q)
         x -= k * v * q
         runs.append(k)
         k = (q * x - 1) // (u * (x * x + y * y))
         if not k:
             break
+        starts.append((x, y, q))
         runs.append(k)
         x, y, q = _shift_inverse(x, y, q, -k * u)
     if not runs[-1]:
         runs.pop()
+        starts.pop()
     runs = tuple(runs)
     if _apply_runs((x, y, q), _downward(runs), params) != start:
         raise InternalInvariantError(f"the runs {runs} from {_point(x, y, q)} do not give back {z}")
-    return _point(x, y, q), runs
+    return (x, y, q), runs, starts
 
 
 def replay_chain(root: GaussianRational, steps: RunSteps, params: OrphanParams) -> GaussianRational:
@@ -281,11 +254,12 @@ def ancestor_chain(z: GaussianRational, params: OrphanParams) -> tuple[GaussianR
     Returns (root, steps), where steps is a `plft.RunSteps` over the
     runs of `ancestor_runs` and steps[i] is the `ChainStep` of the
     (i+1)-th parent reached; ``replay_chain(root, steps, params)``
-    restores z exactly.  The call keeps (X, Y, Q, Im z) at the start of
-    each run, with z = (X + iY)/Q, and a step is built only when it is
-    read, in closed form from its run's start: R-step j is
-    (X - j*v*Q)/Q + i*Y/Q, and L-step j is 1/(1/z - j*u), whose
-    denominator is a_j^2 + (QY)^2 with a_j = QX - j*u*N, N = X^2 + Y^2.
+    restores z exactly.  It reads the climb of `ancestor_runs`, which
+    keeps (X, Y, Q) at the start of each run, with z = (X + iY)/Q, and a
+    step is built only when it is read, in closed form from its run's
+    start: R-step j is (X - j*v*Q)/Q + i*Y/Q, and L-step j is
+    1/(1/z - j*u), whose denominator is a_j^2 + (QY)^2 with
+    a_j = QX - j*u*N, N = X^2 + Y^2.
 
     L-step j raises Im z when a_j^2 < a_(j-1)^2, which a_j >= 1 ensures
     as a_j < a_(j-1).  Since a_j falls as j grows, a_k >= 1 covers the
@@ -293,23 +267,20 @@ def ancestor_chain(z: GaussianRational, params: OrphanParams) -> tuple[GaussianR
     failure raises InternalInvariantError.  A step that is built also
     checks its own gain in Im z.
     """
-    root, runs = ancestor_runs(z, params)
+    root, runs, starts = _climb(z, params)
     u, v = params.u, params.v
-    x, y, q = _parts(z)
-    im = z.im
-    starts = []
-    for i, k in enumerate(runs):
-        starts.append((x, y, q, im))
-        if i % 2 == 0:
-            x -= k * v * q
-            continue
-        if q * x - k * u * (x * x + y * y) < 1:
-            raise InternalInvariantError(f"left run {i} from {z} is too long to raise Im at every step")
-        x, y, q = _shift_inverse(x, y, q, -k * u)
-        im = Fraction(y, q)
+    im, ims = z.im, []
+    for i, (k, (x, y, q)) in enumerate(zip(runs, starts)):
+        if i % 2:
+            if q * x - k * u * (x * x + y * y) < 1:
+                raise InternalInvariantError(f"left run {i} from {z} is too long to raise Im at every step")
+        elif i:
+            im = Fraction(y, q)  # an R-run after an L-run starts higher
+        ims.append(im)
 
     def step(i: int, j: int) -> ChainStep:
-        x, y, q, im = starts[i]
+        x, y, q = starts[i]
+        im = ims[i]
         if i % 2 == 0:
             return ChainStep(GaussianRational(Fraction(x - j * v * q, q), im), RIGHT, _ZERO)
         n, b = x * x + y * y, q * y
@@ -322,20 +293,4 @@ def ancestor_chain(z: GaussianRational, params: OrphanParams) -> tuple[GaussianR
             raise InternalInvariantError(f"left step {j} of run {i} from {z} failed to raise Im")
         return ChainStep(value, LEFT, gain)
 
-    return root, RunSteps(runs, step)
-
-
-def epsilon_u(u: int, y) -> float:
-    """Guaranteed minimum Im-gain of an L-parent step at height y.
-
-    Defined for 0 < y <= 1/(2u); equals y at the right endpoint.  Float
-    diagnostic only: chain termination is argued run by run in
-    `ancestor_runs` and does not use it.
-    """
-    if not isinstance(u, int) or isinstance(u, bool) or u < 1:
-        raise ValueError(f"u must be a positive integer, got {u!r}")
-    y_exact = Fraction(y)
-    if not 0 < y_exact <= Fraction(1, 2 * u):
-        raise ValueError(f"need 0 < y <= 1/(2u) = 1/{2 * u}, got {y}")
-    yf = float(y_exact)
-    return 2.0 * yf / (1.0 + math.sqrt(max(0.0, 1.0 - 4.0 * u * u * yf * yf))) - yf
+    return _point(*root), RunSteps(runs, step)

@@ -160,11 +160,6 @@ def _linear_str(coeff_z: int, const: int) -> str:
 IDENTITY = Plft(1, 0, 0, 1)
 
 
-def parse_word(text: str) -> Word:
-    """Parse a word like "RLR" into a tuple of moves."""
-    return tuple(_check_move(ch) for ch in text.strip())
-
-
 def format_word(word: Word) -> str:
     return "".join(_check_move(m) for m in word)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import hypothesis.strategies as st
 import pytest
 
-from plft_forest import LEFT, RIGHT, Plft, complex_parent
+from plft_forest import LEFT, RIGHT, GaussianRational, Plft
 
 # ---------------------------------------------------------------------------
 # hypothesis strategies
@@ -73,6 +73,36 @@ def root_by_unary_walk(w: Plft):
         node, move = up
         word.append(move)
     return node, tuple(word)
+
+
+def complex_parent(z, params):
+    """The parent in D0 by one step in Fraction arithmetic, or None for orphans.
+
+    Right children (Re(z) > v) step back by v; left children (inside the
+    disk |2uz - 1| < 1, which Re(z) > v >= 1 keeps out) invert z -> z/(1 - u*z).
+    """
+    if not (z.re > 0 and z.im > 0):
+        raise ValueError(f"{z} is outside the open first quadrant")
+    u, v = params.u, params.v
+    x, y = z.re, z.im
+    if x > v:
+        return GaussianRational(x - v, y), RIGHT
+    if (2 * u * x - 1) ** 2 + (2 * u * y) ** 2 < 1:  # inside the disk, exclusive of the circle
+        denom = (1 - u * x) ** 2 + (u * y) ** 2
+        return GaussianRational((x * (1 - u * x) - u * y * y) / denom, y / denom), LEFT
+    return None
+
+
+def apply_complex_move(z, move, params):
+    """Child action by one step in Fraction arithmetic: L_u sends z to z/(u*z + 1), R_v to z + v."""
+    if move == RIGHT:
+        return GaussianRational(z.re + params.v, z.im)
+    if move == LEFT:
+        u = params.u
+        x, y = z.re, z.im
+        denom = (u * x + 1) ** 2 + (u * y) ** 2
+        return GaussianRational((x * (u * x + 1) + u * y * y) / denom, y / denom)
+    raise ValueError(f"move must be 'L' or 'R', got {move!r}")
 
 
 def chain_by_unary_walk(z, params):

@@ -8,6 +8,7 @@ import random
 import time
 from fractions import Fraction
 
+from claims import epsilon_u, is_descendant_by_splice
 from helpers import enumerate_orphans, rational_tree_paths, first_rows_rationals, nu2_brute, root_by_unary_walk
 from plft_forest import (
     IDENTITY,
@@ -24,7 +25,6 @@ from plft_forest import (
     decompose_special,
     divisor_sigma,
     divisor_tau,
-    epsilon_u,
     h_closed,
     h_direct,
     is_complex_orphan,
@@ -167,18 +167,22 @@ def test_criterion_8_word_decomposition():
 
 
 def test_criterion_9_descendant_conditions():
+    # Two routes against the enumeration: the library's run test, which
+    # shares its walk with ancestors_of_rational, and the splice rule on
+    # continued-fraction representations, which shares no walk with it.
     paths = rational_tree_paths(16)
     values = first_rows_rationals(5)
     ok = len(values) == 31
-    for u in values:
-        for t in values:
-            expected = u != t and paths[u] == paths[t][: len(paths[u])]
-            ok = ok and is_descendant_rational(u, t) is expected
-    ok = ok and is_descendant_rational(Fraction(3, 4), Fraction(7, 4))
-    ok = ok and is_descendant_rational(Fraction(3, 5), Fraction(8, 5))
-    ok = ok and not is_descendant_rational(Fraction(8, 3), Fraction(7, 4))
-    ok = ok and not is_descendant_rational(Fraction(7, 3), Fraction(8, 5))
-    _report(9, "descendant test agrees with a depth-16 tree enumeration on all 961 pairs", ok)
+    for descends in (is_descendant_rational, is_descendant_by_splice):
+        for u in values:
+            for t in values:
+                expected = u != t and paths[u] == paths[t][: len(paths[u])]
+                ok = ok and descends(u, t) is expected
+        ok = ok and descends(Fraction(3, 4), Fraction(7, 4))
+        ok = ok and descends(Fraction(3, 5), Fraction(8, 5))
+        ok = ok and not descends(Fraction(8, 3), Fraction(7, 4))
+        ok = ok and not descends(Fraction(7, 3), Fraction(8, 5))
+    _report(9, "run test and splice rule each agree with a depth-16 tree enumeration on all 961 pairs", ok)
 
 
 def test_criterion_10_complex_forest():

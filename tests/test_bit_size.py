@@ -1,15 +1,17 @@
 """Tree walks cost O(bit size): a long run of moves is taken whole.
 
-The checks count `Plft` and `GaussianRational` constructions, not wall
-time.  A walk that goes one move at a time builds a value per move,
-10^5 or more on these inputs; a walk by runs builds a handful.
+The checks count `Plft`, `GaussianRational` and `Fraction`
+constructions, not wall time.  A walk that goes one move at a time
+builds a value per move, 10^5 or more on these inputs; a walk by runs
+builds a handful.  The complex chain also counts its translations of
+1/z, to show that it climbs once.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from helpers import constructions
+from helpers import apply_complex_move, constructions
 from plft_forest import (
     IDENTITY,
     LEFT,
@@ -20,14 +22,15 @@ from plft_forest import (
     ancestor_chain,
     ancestor_runs,
     ancestors_of_rational,
-    apply_complex_move,
     apply_word,
     decompose_special,
+    is_descendant_rational,
     plft_cf_expand,
     replay_chain,
     root_by_iteration,
 )
 from plft_forest import cf as cf_module
+from plft_forest import complex_forest
 
 RUN = 10**5
 # word[0] is the move nearest the node: the walk up takes R^2, L^7, R^RUN, L^3
@@ -79,25 +82,40 @@ def test_ancestors_of_rational_long_run():
     assert list(ancestors_of_rational(Fraction(RUN + 1, RUN))) == expected
 
 
-def test_ancestors_of_rational_builds_what_is_read(monkeypatch):
-    built = 0
+@pytest.fixture
+def fractions_built(monkeypatch):
+    """A one-item list that counts the Fractions `cf` builds from now on."""
+    built = [0]
 
     class Counting(Fraction):
         def __new__(cls, *args, **kwargs):
-            nonlocal built
-            built += 1
+            built[0] += 1
             return super().__new__(cls, *args, **kwargs)
 
     monkeypatch.setattr(cf_module, "Fraction", Counting)
+    return built
+
+
+def test_ancestors_of_rational_builds_what_is_read(fractions_built):
     big = 10**6
     ancestors = ancestors_of_rational(Fraction(big + 1, big))
     assert len(ancestors) == big and ancestors.runs == (1, big - 1)
     assert ancestors[0] == Fraction(1, big) and ancestors[-2] == Fraction(1, 2) and ancestors[-1] == 1
-    assert built <= MOST_BUILT
+    assert fractions_built[0] <= MOST_BUILT
     # only now, so that a walk that builds every ancestor fails above instead
     huge = 10**18
     ancestors = ancestors_of_rational(Fraction(huge + 1, huge))
     assert len(ancestors) == huge and ancestors[-1] == 1
+
+
+def test_is_descendant_rational_takes_runs_whole(fractions_built):
+    # (10^18+1)/10^18 -> 1/10^18 by one R-step, then an L-run of 10^18 - 1 steps to 1/1
+    huge = 10**18
+    target = Fraction(huge + 1, huge)
+    assert is_descendant_rational(Fraction(1, huge // 10), target) is True
+    for other in (Fraction(2), Fraction(1, huge + 1), target):
+        assert is_descendant_rational(other, target) is False
+    assert fractions_built[0] <= MOST_BUILT
 
 
 def _gaussian(re, im):
@@ -145,13 +163,41 @@ def test_ancestor_chain_and_replay_take_runs_whole(monkeypatch):
     assert built <= MOST_BUILT
 
 
-@pytest.mark.parametrize("u, v", [(1, 1), (2, 3)])
-def test_ancestor_runs_alternating_single_moves(monkeypatch, u, v):
+def _alternating(params, root):
     # 200 runs of one move each: the worst case for the run count at a given bit size
-    params, root = OrphanParams(u, v), _gaussian(1, 1)
     z = root
     for i in reversed(range(200)):
         z = apply_complex_move(z, LEFT if i % 2 else RIGHT, params)
+    return z
+
+
+@pytest.mark.parametrize("u, v", [(1, 1), (2, 3)])
+def test_ancestor_runs_alternating_single_moves(monkeypatch, u, v):
+    params, root = OrphanParams(u, v), _gaussian(1, 1)
+    z = _alternating(params, root)
     result, built = constructions(monkeypatch, ancestor_runs, z, params, cls=GaussianRational)
     assert result == (root, (1,) * 200)
     assert built <= MOST_BUILT
+
+
+@pytest.mark.parametrize(
+    "z, params",
+    [
+        (_gaussian(2 * 10**6, 1), OrphanParams(1, 1)),
+        (_alternating(OrphanParams(2, 3), _gaussian(1, 1)), OrphanParams(2, 3)),
+    ],
+    ids=["one_long_r_run", "alternating_2_3"],
+)
+def test_ancestor_chain_climbs_once(monkeypatch, z, params):
+    # one translation of 1/z per L-run to climb and one to replay, and no second walk
+    calls = 0
+    shift_inverse = complex_forest._shift_inverse
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return shift_inverse(*args)
+
+    monkeypatch.setattr(complex_forest, "_shift_inverse", counting)
+    _, steps = ancestor_chain(z, params)
+    assert calls <= 2 * len(steps.runs[1::2])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from claims import cf_variants, evaluate_cf, is_descendant_by_splice, limit_checks, lr_on_cf, rootz_check
 from helpers import (
     ancestors_by_unary_walk,
     check_reads_as,
@@ -26,18 +27,12 @@ from plft_forest import (
     ancestors_of_rational,
     apply_word,
     cf_of_rational,
-    cf_variants,
     decompose_special,
-    evaluate_cf,
     evaluate_plft_cf,
     is_descendant_rational,
-    limit_checks,
-    lr_on_cf,
     orphan_root_cf,
-    parse_word,
     plft_cf_expand,
     root_by_iteration,
-    rootz_check,
     word_of_runs,
 )
 
@@ -241,7 +236,7 @@ def test_orphan_root_cf_exhaustive_small_entries(monkeypatch):
 # -- word decomposition --------------------------------------------------------
 
 def test_decompose_special_examples():
-    assert decompose_special(Plft(43, 10, 30, 7)) == parse_word("RLLRRRLLLL")
+    assert decompose_special(Plft(43, 10, 30, 7)) == tuple("RLLRRRLLLL")
     assert decompose_special(IDENTITY) == ()
     assert decompose_special(Plft(1, 2, 2, 1)) is None
 
@@ -261,10 +256,10 @@ def test_decompose_inverts_apply_word(word):
 def test_rootz_check_examples():
     assert rootz_check(Plft(43, 10, 30, 7)) is True
     assert rootz_check(Plft(27, 10, 19, 7)) is True
-    with pytest.warns(UserWarning, match="determinant is -13"):
-        assert rootz_check(Plft(151, 119, 127, 100)) is False
-    with pytest.warns(UserWarning):
-        assert rootz_check(Plft(1, 1, 0, 1)) is False
+    with pytest.raises(ValueError, match="determinant is -13"):
+        rootz_check(Plft(151, 119, 127, 100))
+    with pytest.raises(ValueError, match="needs c, d nonzero"):
+        rootz_check(Plft(1, 1, 0, 1))
 
 
 # -- rational tree ancestry -----------------------------------------------------
@@ -314,8 +309,32 @@ def test_ancestors_examples():
 @given(positive_rationals(max_part=60))
 @settings(max_examples=120)
 def test_ancestors_satisfy_descendant_relation(w):
+    # is_descendant_rational walks the runs of ancestors_of_rational, so
+    # only the splice rule checks the pair independently
     for ancestor in ancestors_of_rational(w):
         assert is_descendant_rational(ancestor, w) is True
+        assert is_descendant_by_splice(ancestor, w) is True
+
+
+_SMALL_OR_LARGE = st.one_of(positive_rationals(max_part=60), positive_rationals(max_part=10**6))
+
+
+@st.composite
+def descent_pairs(draw):
+    """(ancestor, target), where about half the ancestors are drawn from the target's own."""
+    target = draw(_SMALL_OR_LARGE)
+    ancestors = ancestors_of_rational(target)
+    if ancestors.runs and draw(st.booleans()):
+        return ancestors[draw(st.integers(0, len(ancestors) - 1))], target
+    return draw(_SMALL_OR_LARGE), target
+
+
+@given(descent_pairs())
+@settings(max_examples=400)
+def test_run_test_matches_splice_rule(pair):
+    # two routes that share no walk: the runs of the target's parent walk,
+    # and the splice rule on the representations of both values
+    assert is_descendant_rational(*pair) is is_descendant_by_splice(*pair)
 
 
 @given(st.one_of(positive_rationals(max_part=60), positive_rationals(max_part=3000)))

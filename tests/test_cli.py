@@ -47,6 +47,8 @@ def test_descend_command(capsys):
     assert run(capsys, "descend", "3/4", "7/4")[1] == "true\n"
     assert run(capsys, "descend", "8/3", "7/4")[1] == "false\n"
     assert run(capsys, "descend", "7/4")[1] == "3/4\n3\n2\n1\n"
+    # on an L-run of 10^18 - 1 moves, taken whole
+    assert run(capsys, "descend", f"1/{10**17}", f"{10**18 + 1}/{10**18}")[1] == "true\n"
 
 
 def test_census_matches_table(capsys):

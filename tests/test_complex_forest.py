@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import chain_by_unary_walk, check_reads_as
+from claims import epsilon_u
+from helpers import apply_complex_move, chain_by_unary_walk, check_reads_as, complex_parent
 from plft_forest import (
     LEFT,
     RIGHT,
@@ -15,10 +16,6 @@ from plft_forest import (
     OrphanParams,
     ancestor_chain,
     ancestor_runs,
-    apply_complex_move,
-    complex_parent,
-    epsilon_u,
-    in_d0,
     is_complex_orphan,
     replay_chain,
     word_of_runs,
@@ -33,9 +30,11 @@ def gr(re, im):
 
 
 def test_in_d0():
-    assert in_d0(gr(1, 1)) is True
-    assert in_d0(gr(1, 0)) is False
-    assert in_d0(gr(-1, 1)) is False
+    # the open first quadrant, read through the refusal of every point outside it
+    assert is_complex_orphan(gr(1, 1), P11) is True  # accepted, and an orphan
+    for outside in (gr(1, 0), gr(-1, 1)):
+        with pytest.raises(ValueError, match="outside the open first quadrant"):
+            is_complex_orphan(outside, P11)
 
 
 def test_boundary_points_rejected():
@@ -136,7 +135,7 @@ def test_exactly_one_of_orphan_left_right(re, im, p):
     assert orphan == (up is None)
     if up is not None:
         parent, move = up
-        assert in_d0(parent)
+        assert parent.re > 0 and parent.im > 0
         # the two parent cases are mutually exclusive
         right_applies = z.re > p.v
         left_applies = (2 * p.u * z.re - 1) ** 2 + (2 * p.u * z.im) ** 2 < 1
@@ -238,7 +237,12 @@ def test_ancestor_runs_checks_its_replay(monkeypatch):
 def test_ancestor_chain_checks_its_left_runs_at_call_time(monkeypatch):
     # 1/4 + i/4 has runs (0, 1); a third L-step would bring Im back down
     z = gr(Fraction(1, 4), Fraction(1, 4))
-    root, _ = ancestor_runs(z, P11)
-    monkeypatch.setattr(complex_forest, "ancestor_runs", lambda *_: (root, (0, 3)))
+    climb = complex_forest._climb
+
+    def longer_left_run(z, p):
+        root, _, starts = climb(z, p)
+        return root, (0, 3), starts
+
+    monkeypatch.setattr(complex_forest, "_climb", longer_left_run)
     with pytest.raises(InternalInvariantError):
         ancestor_chain(z, P11)

@@ -1,5 +1,6 @@
 """The package namespace: every public name resolves on first use, importing it loads no submodule, and every annotation resolves."""
 
+import ast
 import importlib
 import inspect
 import typing
@@ -7,7 +8,7 @@ import typing
 import pytest
 
 import plft_forest
-from helpers import run_python
+from helpers import REPO, run_python
 
 # the names bench/workloads.py reads off the package
 BENCH_NAMES = (
@@ -32,6 +33,32 @@ def test_star_import_and_dir_list_every_name():
     assert set(plft_forest.__all__) <= namespace.keys()
     assert set(plft_forest.__all__) <= set(dir(plft_forest))
     assert set(BENCH_NAMES) <= set(plft_forest.__all__)
+
+
+def _names_read_under(*tops):
+    """Every name a program under ``tops`` reads, as a variable or an attribute.
+
+    Read from the syntax tree, so a name that appears only in a string,
+    such as a metric called ``complex_forest.complex_parent.calls``, or
+    only where it is bound, as in its own ``def``, is not counted.
+    """
+    read = set()
+    for top in tops:
+        for path in sorted((REPO / top).rglob("*.py")):
+            if path == REPO / "src" / "plft_forest" / "__init__.py":
+                continue  # the export table itself
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+    return read
+
+
+def test_every_export_has_a_caller():
+    # the library exports only what the library, the benchmark or the scripts use
+    read = _names_read_under("src", "bench", "scripts")
+    assert sorted(set(plft_forest.__all__) - read) == []
 
 
 def test_unknown_name_raises_attribute_error():

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import orphans, plfts, root_by_unary_walk, words
-from plft_forest import IDENTITY, LEFT, RIGHT, Plft, apply_word, format_word, parse_word, root_by_iteration
+from plft_forest import IDENTITY, LEFT, RIGHT, Plft, apply_word, format_word, root_by_iteration
 from plft_forest.plft import parent_runs, word_of_runs
 
 
@@ -77,13 +77,13 @@ def test_root_by_iteration_examples():
     assert root_by_iteration(Plft(1, 2, 2, 1)) == (Plft(1, 2, 2, 1), ())
     root, word = root_by_iteration(Plft(43, 10, 30, 7))
     assert root == IDENTITY
-    assert word == parse_word("RLLRRRLLLL")
+    assert word == tuple("RLLRRRLLLL")
 
 
 def test_parent_runs_examples():
     # RLLRRRLLLL: the walk from w takes 1 R-step, 2 L, 3 R, then 4 L
     assert parent_runs(Plft(43, 10, 30, 7)) == (IDENTITY, (1, 2, 3, 4))
-    assert word_of_runs((1, 2, 3, 4)) == parse_word("RLLRRRLLLL")
+    assert word_of_runs((1, 2, 3, 4)) == tuple("RLLRRRLLLL")
     # a first L-step gives a leading empty R-run
     assert parent_runs(Plft(1, 0, 1, 1)) == (IDENTITY, (0, 1))
     assert word_of_runs((0, 1)) == (LEFT,)
@@ -133,11 +133,11 @@ def test_display(coeffs, text):
 
 
 def test_word_text_roundtrip():
-    assert parse_word("RLR") == (RIGHT, LEFT, RIGHT)
+    assert tuple("RLR") == (RIGHT, LEFT, RIGHT)
     assert format_word((RIGHT, LEFT, RIGHT)) == "RLR"
-    assert parse_word("") == ()
+    assert format_word(()) == ""
     with pytest.raises(ValueError):
-        parse_word("RLX")
+        format_word(tuple("RLX"))
 
 
 # -- properties --------------------------------------------------------------
