@@ -10,20 +10,16 @@ from importlib import import_module
 
 _EXPORTS = {
     "cf": """
-        PlftContinuedFraction RootReport ancestors_of_rational cf_of_rational decompose_special
-        evaluate_plft_cf is_descendant_rational orphan_root_cf plft_cf_expand
+        ancestors_of_rational cf_of_rational decompose_special evaluate_plft_cf is_descendant_rational
+        orphan_root_cf plft_cf_expand
     """,
     "census": """
-        CensusRow SeriesPoint census_row census_rows count_orphans divisor_sigma divisor_tau
-        h_closed h_direct harmonic_double_sum harmonic_double_sum_reference nu2 ratio_series
-        summatory_h
+        census_row census_rows h_closed h_direct harmonic_double_sum harmonic_double_sum_reference nu2
+        ratio_series summatory_h
     """,
-    "complex_forest": """
-        ChainStep GaussianRational OrphanParams ancestor_chain ancestor_runs is_complex_orphan
-        replay_chain
-    """,
+    "complex_forest": "GaussianRational OrphanParams ancestor_chain ancestor_runs is_complex_orphan replay_chain",
     "errors": "InternalInvariantError",
-    "plft": "IDENTITY LEFT RIGHT Plft RunSteps Word apply_word format_word root_by_iteration word_of_runs",
+    "plft": "IDENTITY LEFT RIGHT Plft RunSteps apply_word format_word root_by_iteration word_of_runs",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -46,17 +46,31 @@ down.  Summed over D <= x the convolution becomes
     sum_{A+B<=x} tau(A)*tau(B)  =  sum_{A<x} tau(A)*T(x-A),
 
 with T the prefix sum of tau, so the summatory function takes O(x)
-exact integer steps once the sieve reaches x.
+exact integer steps once the sieve reaches x.  The sum of sigma it
+needs is sum_{k<=x} k * (x // k), which takes O(sqrt(x)) steps, so no
+table of sigma is kept: nu2 takes sigma(D) from trial division.
 
-tau and sigma come from a linear sieve, which reaches each n once
-through its least prime factor.  The module caches the sieve only for
-nu2 and the census rows, which ask for one D after another; the
-summatory function sieves to its own top and keeps nothing.
+tau comes from a linear sieve, which reaches each n once through its
+least prime factor.  It is held in an array('I') and its prefix sums
+T in an array('q'), four and eight bytes an entry.  Both are exact:
+tau(n) <= 2*sqrt(n) < 2^32 for n < 2^62, and T(x) <= x*(1 + log x)
+< 2^63 for x < 2^57, far beyond any table that fits in memory; and an
+array raises OverflowError on a value that does not fit rather than
+wrap it.
+
+Two module caches serve the census rows, which ask for one D after
+another: the sieve's tau for nu2 and the direct pass's counts for
+h_direct.  A request beyond a cache rebuilds it to at least twice its
+length and swaps the new table in whole, so rows 1..N cost O(log N)
+builds, and census_rows(N) sizes the direct cache to N in one pass.
+The summatory function sieves to its own top and keeps nothing.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from itertools import accumulate, islice
 from operator import add, mul
 
@@ -64,69 +78,69 @@ from .errors import InternalInvariantError, Value
 
 
 # ---------------------------------------------------------------------------
-# sieves
+# tables
 # ---------------------------------------------------------------------------
 
-def _sieve(n: int) -> tuple[list[int], list[int]]:
-    """tau[0..n] and sigma[0..n] (index 0 unused) by a linear sieve.
+def _check_indexable(n: int) -> int:
+    if n >= sys.maxsize:
+        raise ValueError(f"a {n.bit_length()}-bit size is too large for a table (indices stop at {sys.maxsize})")
+    return n
+
+
+def _sieve(n: int) -> array:
+    """tau[0..n] (index 0 unused) by a linear sieve.
 
     Each composite m is marked once, as i*p with p its least prime
     factor (Gries and Misra, CACM 1978), so the sieve takes O(n) steps.
-    power[m] is the largest power of that prime dividing m; tau and
-    sigma are multiplicative, so they follow from m / power[m] and from
-    tau(p^e) = e + 1 and sigma(p^e) = (p^(e+1) - 1)/(p - 1), grown here
-    by one factor of p at a time.
+    exponent[m] is the exponent e of that prime in m.  tau is
+    multiplicative with tau(p^e) = e + 1, so tau(i*p) = 2*tau(i) when p
+    does not divide i and tau(i) // (e + 1) * (e + 2) when p^e is the
+    part of i at its least prime p.  (e <= log2(n) fits a byte.)
     """
-    tau = [0] * (n + 1)
-    sigma = [0] * (n + 1)
-    power = [0] * (n + 1)
+    tau = array("I", [0]) * (_check_indexable(n) + 1)
+    exponent = bytearray(n + 1)
     if n >= 1:
-        tau[1] = sigma[1] = power[1] = 1
-    composite = bytearray(n + 1)
+        tau[1] = 1
     primes = []
     for i in range(2, n + 1):
-        if not composite[i]:
+        if not exponent[i]:
             primes.append(i)
-            power[i] = i
+            exponent[i] = 1
             tau[i] = 2
-            sigma[i] = i + 1
+        t = tau[i]
         for p in primes:
             m = i * p
             if m > n:
                 break
-            composite[m] = 1
             if i % p:
-                power[m] = p
-                tau[m] = 2 * tau[i]
-                sigma[m] = (p + 1) * sigma[i]
+                exponent[m] = 1
+                tau[m] = 2 * t
             else:
-                # p is the least prime factor of i too: one more factor of p
-                pe = power[i]
-                power[m] = pe * p
-                rest = i // pe
-                tau[m] = tau[rest] * (tau[pe] + 1)
-                sigma[m] = sigma[rest] * (sigma[pe] + pe * p)
+                e = exponent[i]
+                exponent[m] = e + 1
+                tau[m] = t // (e + 1) * (e + 2)
                 break
-    return tau, sigma
+    return tau
 
 
-# The cache is swapped in as a whole object (single reference assignment),
-# so concurrent readers always see a consistent tau/sigma pair.
-_sieve_cache: tuple[list[int], list[int]] = ([0], [0])
+# Each cache is swapped in as a whole object (one reference assignment),
+# so a reader never sees a table half built.
+_tau_cache = array("I", [0])
+_direct_cache = [0]
 
 
-def _sieves(n: int) -> tuple[list[int], list[int]]:
-    """tau[0..n] and sigma[0..n] (index 0 unused), or longer lists, from the module cache.
+def _tau_table(n: int) -> array:
+    """tau[0..n] (index 0 unused), or a longer table, from the module cache.
 
     For nu2 and the census rows, which ask for one D after another.  A
     rebuild at least doubles the cache, so asking for n = 1, 2, 3, ...
     in turn builds O(log n) times.
     """
-    global _sieve_cache
-    cache = _sieve_cache
-    if len(cache[0]) <= n:
-        cache = _sieve(max(n, 2 * len(cache[0])))
-        _sieve_cache = cache
+    global _tau_cache
+    cache = _tau_cache
+    if len(cache) <= n:
+        cache = _sieve(max(n, 2 * len(cache)))
+        _tau_cache = cache
     return cache
 
 
@@ -176,9 +190,9 @@ def nu2(d: int) -> int:
     module docstring.
     """
     _check_positive(d)
-    tau, sigma = _sieves(d)
+    tau = _tau_table(d)
     conv = sum(map(mul, tau[1:d], tau[d - 1:0:-1]))
-    paired = conv + tau[d] - sigma[d]
+    paired = conv + tau[d] - divisor_sigma(d)
     if paired % 2:
         raise InternalInvariantError(f"odd distinct-size pair count {paired} at D={d}")
     return paired // 2
@@ -206,7 +220,7 @@ def _direct_pass(n: int) -> list[int]:
     stride a turns the marks into the number of orphans with that a at
     every D <= n.  That is about n^2 log(n) / 2 marks and n^2 / 2 sums.
     """
-    total = [0] * (n + 1)
+    total = [0] * (_check_indexable(n) + 1)
     for a in range(1, n + 1):
         starts = [0] * (n + 1)
         for c in range(a):
@@ -219,14 +233,29 @@ def _direct_pass(n: int) -> list[int]:
     return total
 
 
+def _direct_table(n: int) -> list[int]:
+    """h(D) for every D <= n (index 0 unused), or for more D, from the module cache.
+
+    Grows like `_tau_table`: asking for n = 1, 2, 3, ... in turn runs the
+    direct pass to 2, 6, 14, 30, ..., so rows 1..200 cost 7 passes, the
+    last one to 254.
+    """
+    global _direct_cache
+    cache = _direct_cache
+    if len(cache) <= n:
+        cache = _direct_pass(max(n, 2 * len(cache)))
+        _direct_cache = cache
+    return cache
+
+
 def h_direct(d: int) -> int:
-    """Orphan count read from the definition: entry d of the direct pass to d.
+    """Orphan count read from the definition: entry d of the cached direct pass.
 
     The pass is `_direct_pass`; see the module docstring for why it
     shares no loop or table with `count_orphans`.
     """
     _check_positive(d)
-    return _direct_pass(d)[d]
+    return _direct_table(d)[d]
 
 
 def count_orphans(d: int) -> int:
@@ -276,13 +305,15 @@ class CensusRow(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        # nu2 reads tau and sigma from the sieve, the closed formula from
-        # trial division; the two must agree at D.
-        tau, sigma = _sieves(self.D)
-        if (tau[self.D], sigma[self.D]) != (self.tau, self.sigma):
+        # nu2 reads tau from the sieve, the closed formula from trial
+        # division; the two must agree at D.  sigma has no second source:
+        # a wrong sigma moves h_closed by 3/2 of the error (nu2 takes half
+        # of it away, the formula adds twice it), which the route check
+        # below catches.
+        sieved = _tau_table(self.D)[self.D]
+        if sieved != self.tau:
             raise InternalInvariantError(
-                f"sieve and trial division disagree at D={self.D}: "
-                f"tau {tau[self.D]} / {self.tau}, sigma {sigma[self.D]} / {self.sigma}"
+                f"sieve and trial division disagree at D={self.D}: tau {sieved} / {self.tau}"
             )
         if not (self.h_closed == self.h_direct == self.orphan_count):
             raise InternalInvariantError(
@@ -291,44 +322,56 @@ class CensusRow(Value):
             )
 
 
-def _row(d: int, direct: int) -> CensusRow:
+def census_row(d: int) -> CensusRow:
+    """Compute one row by all three routes; raises if they disagree."""
+    _check_positive(d)
     return CensusRow(
         D=d,
         nu2=nu2(d),
         sigma=divisor_sigma(d),
         tau=divisor_tau(d),
         h_closed=h_closed(d),
-        h_direct=direct,
+        h_direct=h_direct(d),
         orphan_count=count_orphans(d),
     )
-
-
-def census_row(d: int) -> CensusRow:
-    """Compute one row by all three routes; raises if they disagree."""
-    _check_positive(d)
-    return _row(d, h_direct(d))
 
 
 def census_rows(dmax: int) -> list[CensusRow]:
     """Rows 1..dmax, with the direct counts of all of them from one pass."""
     _check_positive(dmax)
-    direct = _direct_pass(dmax)
-    return [_row(d, direct[d]) for d in range(1, dmax + 1)]
+    _direct_table(dmax)
+    return [census_row(d) for d in range(1, dmax + 1)]
 
 
 # ---------------------------------------------------------------------------
 # summatory function and series data
 # ---------------------------------------------------------------------------
 
+def _sigma_summatory(x: int) -> int:
+    """sum_{n<=x} sigma(n) = sum_{k<=x} k * (x // k), in O(sqrt(x)) steps.
+
+    x // k takes fewer than 2*sqrt(x) values, each on a run of
+    consecutive k, and each run adds its quotient times its sum of k.
+    """
+    total = 0
+    k = 1
+    while k <= x:
+        quotient = x // k
+        last = x // quotient
+        total += quotient * (k + last) * (last - k + 1) // 2
+        k = last + 1
+    return total
+
+
 def _summatory(xs: list[int]) -> list[int]:
     """sum_{D<=x} h(D) for each x in xs, by the prefix-sum identity in the module docstring."""
-    tau, sigma = _sieve(max(xs))
-    tau_prefix = list(accumulate(tau))
+    tau = _sieve(max(xs))
+    tau_prefix = array("q", accumulate(tau))
     sums = []
     for x in xs:
         # tau[1..x-1] against T[x-1..1], read in place: a slice would copy up to x entries
         conv = sum(map(mul, islice(tau, 1, x), islice(reversed(tau_prefix), len(tau) - x, None)))
-        sigma_sum = sum(islice(sigma, 1, x + 1))
+        sigma_sum = _sigma_summatory(x)
         paired = conv + tau_prefix[x] - sigma_sum
         if paired % 2:
             raise InternalInvariantError(f"odd distinct-size pair count {paired} summed to x={x}")

@@ -1,0 +1,36 @@
+"""Micro-benchmarks of the census kernels, with pytest-benchmark.
+
+Run with ``python -m pytest tests/bench_census.py``.  The tier-1 run does
+not collect this file: its name does not start with ``test_``.
+"""
+
+from array import array
+
+import pytest
+
+from plft_forest import census
+
+
+@pytest.fixture
+def cold_caches(monkeypatch):
+    """A function that empties both module caches; monkeypatch puts the old ones back after the test."""
+
+    def empty():
+        monkeypatch.setattr(census, "_tau_cache", array("I", [0]))
+        monkeypatch.setattr(census, "_direct_cache", [0])
+
+    return empty
+
+
+def test_census_rows_1_to_200_one_at_a_time_from_cold(benchmark, cold_caches):
+    # as the figure-data job asks for them
+    rows = benchmark.pedantic(lambda: [census.census_row(d) for d in range(1, 201)], setup=cold_caches, rounds=10)
+    assert rows[14].h_closed == 88
+
+
+def test_direct_pass_to_256(benchmark):
+    assert benchmark(census._direct_pass, 256)[256] == 5342
+
+
+def test_summatory_h_at_4e4(benchmark):
+    assert benchmark(census.summatory_h, 40_000) == 43851192132

@@ -3,9 +3,9 @@
 import math
 from fractions import Fraction
 
-from plft_forest import IDENTITY, LEFT, RIGHT, InternalInvariantError, Plft, PlftContinuedFraction, cf_of_rational
+from plft_forest import IDENTITY, LEFT, RIGHT, InternalInvariantError, Plft, cf_of_rational
 from plft_forest import orphan_root_cf
-from plft_forest.cf import _cf_column, _prefix_extension_pair, _validate_cf, _variant_list
+from plft_forest.cf import PlftContinuedFraction, _cf_column, _prefix_extension_pair, _validate_cf, _variant_list
 
 
 def evaluate_cf(terms) -> Fraction:

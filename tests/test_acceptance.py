@@ -21,10 +21,7 @@ from plft_forest import (
     apply_word,
     harmonic_double_sum_reference,
     harmonic_double_sum,
-    count_orphans,
     decompose_special,
-    divisor_sigma,
-    divisor_tau,
     h_closed,
     h_direct,
     is_complex_orphan,
@@ -37,6 +34,7 @@ from plft_forest import (
     root_by_iteration,
     summatory_h,
 )
+from plft_forest.census import count_orphans, divisor_sigma, divisor_tau
 
 HVALS = [1, 4, 7, 13, 15, 26, 25, 39, 40, 54, 49, 79, 63, 88, 88]
 

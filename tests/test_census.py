@@ -1,6 +1,8 @@
 import functools
 import math
+from array import array
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -23,15 +25,13 @@ from plft_forest import (
     harmonic_double_sum,
     census_row,
     census_rows,
-    count_orphans,
-    divisor_sigma,
-    divisor_tau,
     h_closed,
     h_direct,
     nu2,
     ratio_series,
     summatory_h,
 )
+from plft_forest.census import count_orphans, divisor_sigma, divisor_tau
 
 HVALS = [1, 4, 7, 13, 15, 26, 25, 39, 40, 54, 49, 79, 63, 88, 88]
 
@@ -80,25 +80,33 @@ def test_nu2_against_full_partition_iteration():
         assert nu2(d) == expected, f"D={d}"
 
 
+def _cold_caches(monkeypatch):
+    """Empty both module caches for one test; monkeypatch puts the old ones back after it."""
+    monkeypatch.setattr(census_module, "_tau_cache", array("I", [0]))
+    monkeypatch.setattr(census_module, "_direct_cache", [0])
+
+
 def test_sieve_grows_geometrically(monkeypatch):
     # Asking for D = 1, 2, 3, ... in turn must not rebuild the sieve for
     # every new D; each rebuild swaps in a new cache object.
-    monkeypatch.setattr(census_module, "_sieve_cache", ([0], [0]))
+    _cold_caches(monkeypatch)
     builds = 0
-    cache = census_module._sieve_cache
+    cache = census_module._tau_cache
     for d in range(1, 1001):
         nu2(d)
-        if census_module._sieve_cache is not cache:
+        if census_module._tau_cache is not cache:
             builds += 1
-            cache = census_module._sieve_cache
+            cache = census_module._tau_cache
     assert builds <= 12
 
 
 def test_sieve_equals_divisor_multiples():
-    # the short lengths check where the linear sieve stops at the end of
-    # its lists; the 10^4 lists hold every entry up to 10^4
-    for n in [*range(65), 10**4]:
-        assert census_module._sieve(n) == sieve_by_divisor_multiples(n), f"n={n}"
+    # every length to 3000 checks where the linear sieve stops at the end
+    # of its table; the 10^4 table holds every entry up to 10^4
+    tau = sieve_by_divisor_multiples(3000)[0]
+    for n in range(3001):
+        assert census_module._sieve(n) == array("I", tau[:n + 1]), f"n={n}"
+    assert census_module._sieve(10**4) == array("I", sieve_by_divisor_multiples(10**4)[0])
 
 
 @functools.cache
@@ -109,18 +117,23 @@ def _sieve_to_a_million():
 @settings(deadline=None)
 @given(st.integers(min_value=1, max_value=10**6))
 def test_sieve_against_trial_division(n):
-    tau, sigma = _sieve_to_a_million()
-    assert (tau[n], sigma[n]) == (divisor_tau(n), divisor_sigma(n))
+    assert _sieve_to_a_million()[n] == divisor_tau(n)
+
+
+def test_sigma_summatory_equals_divisor_multiples():
+    # the grouped sum of sigma against the prefix sums of the oracle's sigma
+    prefix = list(accumulate(sieve_by_divisor_multiples(3000)[1]))
+    assert [census_module._sigma_summatory(x) for x in range(3001)] == prefix
 
 
 def test_summatory_pins_no_sieve():
     # A fresh process, as in test_route_memory_at_300: the summatory
-    # sieves to its own top and must leave no list held, in the module
+    # sieves to its own top and must leave no table held, in the module
     # cache or elsewhere, once it returns.
     code = (
         "import tracemalloc; from plft_forest import census; tracemalloc.start(); "
-        "before = len(census._sieve_cache[0]); census.summatory_h(10**5); "
-        "print(tracemalloc.get_traced_memory()[0], len(census._sieve_cache[0]) - before)"
+        "before = len(census._tau_cache); census.summatory_h(10**5); "
+        "print(tracemalloc.get_traced_memory()[0], len(census._tau_cache) - before)"
     )
     held, grown = map(int, _run_fresh(code).split())
     assert held < 64 * 1024
@@ -197,21 +210,34 @@ def test_three_routes_agree_to_sixty():
         assert row.h_closed == HVALS[d - 1] if d <= 15 else True
 
 
-@pytest.mark.parametrize("which", [0, 1])  # tau, sigma
-def test_census_row_catches_a_wrong_sieve_entry(monkeypatch, which):
+@pytest.mark.parametrize(
+    "below, message",
+    [
+        pytest.param(0, "sieve and trial division", id="0"),  # tau(D), which trial division also gives
+        pytest.param(1, "route disagreement", id="1"),  # tau(D - 1), which only the convolution reads
+    ],
+)
+def test_census_row_catches_a_wrong_sieve_entry(monkeypatch, below, message):
     d = 12
-    lists = [list(values) for values in census_module._sieves(d)]
-    lists[which][d] += 2  # even, so nu2's parity check passes
-    monkeypatch.setattr(census_module, "_sieve_cache", tuple(lists))
-    with pytest.raises(InternalInvariantError, match="sieve and trial division"):
+    tau = census_module._sieve(d)
+    tau[d - below] += 2  # even, so nu2's parity check passes
+    monkeypatch.setattr(census_module, "_tau_cache", tau)
+    with pytest.raises(InternalInvariantError, match=message):
         census_row(d)
 
 
-@pytest.mark.parametrize("name", ["divisor_tau", "divisor_sigma"])
-def test_census_row_catches_a_wrong_trial_division(monkeypatch, name):
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        pytest.param("divisor_tau", "sieve and trial division", id="divisor_tau"),
+        # sigma has no second source: +2 moves nu2 by -1 and h_closed by +3
+        pytest.param("divisor_sigma", "route disagreement", id="divisor_sigma"),
+    ],
+)
+def test_census_row_catches_a_wrong_trial_division(monkeypatch, name, message):
     original = getattr(census_module, name)
     monkeypatch.setattr(census_module, name, lambda d: original(d) + 2)
-    with pytest.raises(InternalInvariantError, match="sieve and trial division"):
+    with pytest.raises(InternalInvariantError, match=message):
         census_row(12)
 
 
@@ -226,12 +252,30 @@ def test_census_row_catches_a_wrong_count(monkeypatch, name, wrong):
         census_row(12)
 
 
-def test_census_rows_runs_the_direct_pass_once(monkeypatch):
+def _counting_direct_passes(monkeypatch):
+    """The sizes of the direct passes run from here on, starting from cold caches."""
+    _cold_caches(monkeypatch)
     calls = []
     original = census_module._direct_pass
     monkeypatch.setattr(census_module, "_direct_pass", lambda n: calls.append(n) or original(n))
+    return calls
+
+
+def test_census_rows_runs_the_direct_pass_once(monkeypatch):
+    calls = _counting_direct_passes(monkeypatch)
     census_rows(40)
     assert calls == [40]
+    census_row(40)  # rows the pass reached cost no further pass
+    assert calls == [40]
+
+
+def test_census_row_runs_the_direct_pass_a_few_times(monkeypatch):
+    # rows 1..200 one at a time, as the figure-data job asks for them:
+    # the cache at least doubles at each rebuild
+    calls = _counting_direct_passes(monkeypatch)
+    for d in range(1, 201):
+        census_row(d)
+    assert len(calls) <= 8 and max(calls) < 2 * 200, calls
 
 
 def test_census_rows_equal_census_row_to_sixty():
@@ -239,6 +283,7 @@ def test_census_rows_equal_census_row_to_sixty():
 
 
 def test_census_rows_catch_a_wrong_direct_count(monkeypatch):
+    _cold_caches(monkeypatch)
     original = census_module._direct_pass
 
     def wrong(n):

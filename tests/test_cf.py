@@ -23,7 +23,6 @@ from plft_forest import (
     LEFT,
     RIGHT,
     Plft,
-    PlftContinuedFraction,
     ancestors_of_rational,
     apply_word,
     cf_of_rational,
@@ -35,6 +34,7 @@ from plft_forest import (
     root_by_iteration,
     word_of_runs,
 )
+from plft_forest.cf import PlftContinuedFraction
 
 
 # -- rational continued fractions --------------------------------------------

@@ -123,6 +123,8 @@ def test_cchain_csv_format(capsys):
         ("census", "--max", "0"),     # empty census
         ("series", "--points", "x"),  # malformed point list
         ("corphan", "1/0+1*i"),       # zero denominator
+        ("census", "--max", str(10**400)),         # past any table index
+        ("series", "--points", f"15,{10**400}"),  # past any table index
     ],
 )
 def test_input_errors_exit_2(capsys, argv):

@@ -10,7 +10,6 @@ from helpers import apply_complex_move, chain_by_unary_walk, check_reads_as, com
 from plft_forest import (
     LEFT,
     RIGHT,
-    ChainStep,
     GaussianRational,
     InternalInvariantError,
     OrphanParams,
@@ -21,6 +20,7 @@ from plft_forest import (
     word_of_runs,
 )
 from plft_forest import complex_forest
+from plft_forest.complex_forest import ChainStep
 
 P11 = OrphanParams(1, 1)
 

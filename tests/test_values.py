@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from helpers import constructions
-from plft_forest import (
-    CensusRow, ChainStep, GaussianRational, OrphanParams, Plft, PlftContinuedFraction, RootReport, SeriesPoint,
-    census_row,
-)
+from plft_forest import GaussianRational, OrphanParams, Plft, census_row
+from plft_forest.census import CensusRow, SeriesPoint
+from plft_forest.cf import PlftContinuedFraction, RootReport
+from plft_forest.complex_forest import ChainStep
 from plft_forest.errors import Value
 
 ORPHAN = Plft(2, 1, 1, 2)
