@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InternalInvariantError, Value
-from .plft import IDENTITY, Plft, RunSteps, Word, _orphan, parent_runs, word_of_runs
+from .plft import IDENTITY, Plft, RunSteps, _orphan, parent_runs, word_of_runs
 
 Quotients = tuple[int, ...]
 
@@ -273,15 +273,15 @@ def _prefix_extension_pair(m: Plft) -> bool:
     return False
 
 
-def decompose_special(m: Plft) -> "Word | None":
+def decompose_special(m: Plft) -> "RunSteps | None":
     """Write m as a word over {L1, R1}, or None when impossible.
 
     The word satisfies ``apply_word(IDENTITY, word) == m``.  Membership
-    is decided by the parent walk, one run at a time, and the word is
-    spelled out only for members; when c, d are nonzero and the
-    determinant is +-1 it is cross-checked against the expansion
-    condition (one of a/c, b/d extends the other by one term in some
-    representation pair, with determinant +1).
+    is decided by the parent walk, one run at a time, and a member's word
+    is `plft.word_of_runs` of its runs, so the cost is O(bit size).  When
+    c, d are nonzero and the determinant is +-1 it is cross-checked
+    against the expansion condition (one of a/c, b/d extends the other by
+    one term in some representation pair, with determinant +1).
     """
     root, runs = parent_runs(m)
     in_monoid = root == IDENTITY

@@ -4,8 +4,8 @@ Every subcommand is a thin adapter over the library; no arithmetic
 lives here.  Each command imports the library modules it uses when it
 runs, so a process loads only those (``census``, ``series`` and ``aux``
 never load the tree modules), and an input that argparse rejects loads
-none.  Exit statuses: 0 success, 2 input error, 3 internal invariant
-failure.
+none.  Exit statuses: 0 success, 2 input error (an input too large for
+memory included), 3 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ def _cmd_corphan(args) -> str:
 
 def _cmd_cchain(args) -> str:
     from .complex_forest import GaussianRational, ancestor_chain, ancestor_runs
-    from .plft import word_of_runs
+    from .plft import format_word, word_of_runs
 
     z, params = GaussianRational.parse(args.z), _params(args)
     if args.format == "csv":
@@ -121,7 +121,7 @@ def _cmd_cchain(args) -> str:
             lines.append(f"{i},{step.move},{step.value.re},{step.value.im}")
         return "\n".join(lines)
     root, runs = ancestor_runs(z, params)
-    return f"root={root} steps={sum(runs)} moves={''.join(word_of_runs(runs))}"
+    return f"root={root} steps={sum(runs)} moves={format_word(word_of_runs(runs))}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,6 +188,9 @@ def main(argv=None) -> int:
         text = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: not enough memory for this input", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -175,7 +175,7 @@ def ancestor_runs(z: GaussianRational, params: OrphanParams) -> tuple[GaussianRa
     Returns (root, runs) in the form of `plft.parent_runs`: the parent
     walk from z takes runs[0] R-steps, then runs[1] L-steps, then
     runs[2] R-steps, and so on; only runs[0] can be 0, an orphan gives
-    (), and `plft.word_of_runs(runs)` spells the moves out.
+    (), and `plft.word_of_runs(runs)` is the word of the moves.
 
     The point is kept as integers (X, Y, Q) with z = (X + iY)/Q.  An
     R-step applies while Re z > v, so a maximal R-run has length

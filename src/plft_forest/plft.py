@@ -17,6 +17,10 @@ Coefficients are arbitrary precision: a path of length n inflates them
 roughly like the n-th Fibonacci number, so 64-bit integers would
 already overflow for words of modest length.
 
+A word of moves is a `RunSteps` over its runs (`word_of_runs`), so
+`apply_word`, the child action, and `parent_runs`, the parent walk,
+cost O(bit size) per word, however long its runs are.
+
 PLFTs are deliberately NOT reduced to projective representatives:
 (2z+0)/(0z+2) and z agree pointwise but are distinct vertices here, with
 distinct positions in the forest.
@@ -26,7 +30,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
-from itertools import accumulate, groupby
+from itertools import accumulate, chain, cycle, repeat
+from operator import eq
 
 from .errors import Value
 
@@ -34,13 +39,6 @@ LEFT = "L"
 RIGHT = "R"
 
 Move = str
-Word = tuple[str, ...]
-
-
-def _check_move(move: str) -> str:
-    if move not in (LEFT, RIGHT):
-        raise ValueError(f"move must be 'L' or 'R', got {move!r}")
-    return move
 
 
 class Plft(Value):
@@ -88,32 +86,6 @@ class Plft(Value):
         """True when this PLFT is not the left or right child of any PLFT."""
         return _orphan(self.a, self.b, self.c, self.d)
 
-    def left_child(self) -> "Plft":
-        """f/(f+1); as a matrix, L1 times self."""
-        return Plft(self.a, self.b, self.a + self.c, self.b + self.d)
-
-    def right_child(self) -> "Plft":
-        """f+1; as a matrix, R1 times self."""
-        return Plft(self.a + self.c, self.b + self.d, self.c, self.d)
-
-    def child(self, move: Move) -> "Plft":
-        return self.left_child() if _check_move(move) == LEFT else self.right_child()
-
-    def parent(self) -> "tuple[Plft, Move] | None":
-        """Invert the child rules.
-
-        Returns (parent, move) where ``parent.child(move) == self``, or
-        None when self is an orphan.  At most one branch can apply: if
-        both subtractions were legal the determinant would vanish.
-        Boundary cases (a == c or b == d) subtract to a zero coefficient,
-        which is still a valid PLFT.
-        """
-        if self.a >= self.c and self.b >= self.d:
-            return Plft(self.a - self.c, self.b - self.d, self.c, self.d), RIGHT
-        if self.c >= self.a and self.d >= self.b:
-            return Plft(self.a, self.b, self.c - self.a, self.d - self.b), LEFT
-        return None
-
     def reciprocal(self) -> "Plft":
         """1/f, i.e. the rows swapped."""
         return Plft(self.c, self.d, self.a, self.b)
@@ -160,31 +132,30 @@ def _linear_str(coeff_z: int, const: int) -> str:
 IDENTITY = Plft(1, 0, 0, 1)
 
 
-def format_word(word: Word) -> str:
-    return "".join(_check_move(m) for m in word)
+def format_word(word: RunSteps) -> str:
+    """The letters of a word, such as "RLLRRR": one repeated letter per run."""
+    return "".join((LEFT if i % 2 else RIGHT) * k for i, k in enumerate(word.runs))
 
 
-def apply_word(root: Plft, word: Word) -> Plft:
-    """Apply a word of moves to a root.
+def apply_word(root: Plft, word: RunSteps) -> Plft:
+    """Apply a word of moves, from `word_of_runs`, to a root, a run at a time.
 
-    Words are written like compositions: ``apply_word(g, ("R", "L", "R"))``
-    is R(L(R(g))), so the last element is the first step taken at the
-    root and ``word[0]`` is the move nearest the resulting node.  The
-    matrix of the result is the left-to-right product of the factors
-    named by the word, times the root's matrix.
-
-    Each run of k identical moves is one multiplication, by
-    R1^k = [[1, k], [0, 1]] or L1^k = [[1, 0], [k, 1]], so the
-    arithmetic is per run, and one `Plft` is built at the end.  Raises
-    ValueError on a move other than 'L' or 'R'.
+    Words are written like compositions: RLR, ``word_of_runs((1, 1, 1))``,
+    sends g to R(L(R(g))), so the last letter is the first step taken at
+    the root and ``word[0]`` is the move nearest the resulting node.  The
+    result's matrix is the left-to-right product of the word's factors
+    times the root's.  A run of k moves is one multiplication, by
+    R1^k = [[1, k], [0, 1]] or L1^k = [[1, 0], [k, 1]], however large k
+    is, and one `Plft` is built at the end.
     """
     a, b, c, d = root.a, root.b, root.c, root.d
-    for move, run in groupby(reversed(word)):
-        k = len(list(run))
-        if _check_move(move) == RIGHT:
-            a, b = a + k * c, b + k * d
-        else:
+    runs = word.runs
+    for i in reversed(range(len(runs))):
+        k = runs[i]
+        if i % 2:
             c, d = c + k * a, d + k * b
+        else:
+            a, b = a + k * c, b + k * d
     return Plft(a, b, c, d)
 
 
@@ -226,22 +197,30 @@ def parent_runs(w: Plft) -> tuple[Plft, tuple[int, ...]]:
     return root, tuple(runs)
 
 
-def root_by_iteration(w: Plft) -> tuple[Plft, Word]:
+def root_by_iteration(w: Plft) -> tuple[Plft, RunSteps]:
     """Climb the parent map until an orphan is reached.
 
     Returns (root, word) with ``apply_word(root, word) == w``; word[0] is
     the first parent step taken from w.  The climb goes one maximal run
-    of identical moves at a time (see `parent_runs`), so it ends after
-    O(bit size) divisions, however long the runs are; the word itself is
-    then spelled out by repetition.
+    of identical moves at a time (see `parent_runs`), and the word is
+    `word_of_runs` of those runs, so the call ends after O(bit size)
+    divisions, however long the runs are.
     """
     root, runs = parent_runs(w)
     return root, word_of_runs(runs)
 
 
-def word_of_runs(runs: tuple[int, ...]) -> Word:
-    """Spell out alternating R, L, R, ... runs of the given lengths as a word."""
-    return tuple("".join((LEFT if i % 2 else RIGHT) * k for i, k in enumerate(runs)))
+def word_of_runs(runs: tuple[int, ...]) -> RunSteps:
+    """The word of alternating R, L, R, ... runs of the given lengths: a
+    `RunSteps` of the letters 'R' and 'L', equal to the tuple it spells.
+
+    The runs are in `parent_runs`' form, ints with ``runs[0] >= 0`` and
+    every later run ``>= 1``; anything else raises ValueError.
+    """
+    for i, k in enumerate(runs):
+        if not isinstance(k, int) or isinstance(k, bool) or k < (1 if i else 0):
+            raise ValueError(f"run {i} of a word must be an int >= {1 if i else 0}, got {k!r}")
+    return _Word(runs, lambda i, j: LEFT if i % 2 else RIGHT)
 
 
 class RunSteps(Sequence):
@@ -253,7 +232,10 @@ class RunSteps(Sequence):
     index costs a bisection over the runs plus one ``step`` call, and
     iterating goes run by run.  Slices give lists.  Its length is the
     sum of the runs, which ``len()`` can report only up to
-    ``sys.maxsize``; indexing and iterating have no such limit.
+    ``sys.maxsize``; indexing and iterating have no such limit.  It
+    equals any sequence but a ``str`` with the same length, compared at
+    once, and the same items, read step by step; like ``list``, it is
+    unhashable.
     """
 
     __slots__ = ("runs", "_ends", "_step")
@@ -276,8 +258,22 @@ class RunSteps(Sequence):
     def __iter__(self) -> Iterator:
         step = self._step
         for i, k in enumerate(self.runs):
-            for j in range(1, k + 1):
-                yield step(i, j)
+            yield from map(step, repeat(i, k), range(1, k + 1))
+
+    def __eq__(self, other):
+        if isinstance(other, str) or not isinstance(other, Sequence):
+            return NotImplemented
+        # _ends[-1], not len(), which overflows past sys.maxsize
+        length = other._ends[-1] if isinstance(other, RunSteps) else len(other)
+        return length == self._ends[-1] and all(map(eq, self, other))
+
+
+class _Word(RunSteps):
+    # every step of a run is the run's letter, so iterating repeats it in C
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator:
+        return chain.from_iterable(map(repeat, cycle((RIGHT, LEFT)), self.runs))
 
 
 def _orphan(a: int, b: int, c: int, d: int) -> bool:

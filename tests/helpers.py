@@ -5,12 +5,13 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 
-from plft_forest import LEFT, RIGHT, GaussianRational, Plft
+from plft_forest import LEFT, RIGHT, GaussianRational, Plft, word_of_runs
 
 # ---------------------------------------------------------------------------
 # hypothesis strategies
@@ -60,8 +61,58 @@ def positive_rationals(max_part=200):
 # oracles
 # ---------------------------------------------------------------------------
 
+def word_of_letters(letters):
+    """The library's word for a sequence of 'R' and 'L' letters, grouped into runs.
+
+    Runs alternate R, L, R, ... as in ``parent_runs``, so a word whose
+    first letter is L starts with an empty R-run.
+    """
+    runs = []
+    for letter, group in groupby(letters):
+        if letter not in (LEFT, RIGHT):
+            raise ValueError(f"move must be 'L' or 'R', got {letter!r}")
+        if not runs and letter == LEFT:
+            runs.append(0)
+        runs.append(len(list(group)))
+    return word_of_runs(tuple(runs))
+
+
+def left_child(w: Plft) -> Plft:
+    """f/(f+1); as a matrix, L1 times w."""
+    return Plft(w.a, w.b, w.a + w.c, w.b + w.d)
+
+
+def right_child(w: Plft) -> Plft:
+    """f+1; as a matrix, R1 times w."""
+    return Plft(w.a + w.c, w.b + w.d, w.c, w.d)
+
+
+def child(w: Plft, move) -> Plft:
+    """One child step, the per-step oracle for ``apply_word``."""
+    if move == LEFT:
+        return left_child(w)
+    if move == RIGHT:
+        return right_child(w)
+    raise ValueError(f"move must be 'L' or 'R', got {move!r}")
+
+
+def parent(w: Plft):
+    """Invert the child rules one step: (parent, move) or None for an orphan.
+
+    ``child(parent, move) == w``.  At most one branch can apply: if both
+    subtractions were legal the determinant would vanish.  Boundary
+    cases (a == c or b == d) subtract to a zero coefficient, which is
+    still a valid PLFT.  The per-step oracle for ``parent_runs``.
+    """
+    if w.a >= w.c and w.b >= w.d:
+        return Plft(w.a - w.c, w.b - w.d, w.c, w.d), RIGHT
+    if w.c >= w.a and w.d >= w.b:
+        return Plft(w.a, w.b, w.c - w.a, w.d - w.b), LEFT
+    return None
+
+
 def root_by_unary_walk(w: Plft):
-    """Climb ``Plft.parent()`` one step at a time: (root, word of moves taken).
+    """Climb ``parent`` one step at a time: (root, word of moves taken).
 
     The per-step route to the root, independent of the run-length
     division loop.  Its cost grows with the size of the coefficients, so
@@ -69,7 +120,7 @@ def root_by_unary_walk(w: Plft):
     """
     word = []
     node = w
-    while (up := node.parent()) is not None:
+    while (up := parent(node)) is not None:
         node, move = up
         word.append(move)
     return node, tuple(word)

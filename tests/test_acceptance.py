@@ -9,7 +9,14 @@ import time
 from fractions import Fraction
 
 from claims import epsilon_u, is_descendant_by_splice
-from helpers import enumerate_orphans, rational_tree_paths, first_rows_rationals, nu2_brute, root_by_unary_walk
+from helpers import (
+    enumerate_orphans,
+    first_rows_rationals,
+    nu2_brute,
+    rational_tree_paths,
+    root_by_unary_walk,
+    word_of_letters,
+)
 from plft_forest import (
     IDENTITY,
     LEFT,
@@ -126,7 +133,7 @@ def test_criterion_7_root_route_agreement():
         if rng.random() < 0.5:
             orphan = orphan.reciprocal()
         word = tuple(rng.choice((LEFT, RIGHT)) for _ in range(rng.randint(0, 50)))
-        w = apply_word(orphan, word)
+        w = apply_word(orphan, word_of_letters(word))
         root_iter, word_iter = root_by_iteration(w)
         cf = plft_cf_expand(w)
         tail_route = cf.tail if len(cf.quotients) % 2 == 0 else cf.tail.reciprocal()
@@ -149,7 +156,7 @@ def test_criterion_8_word_decomposition():
     for length in range(13):
         for mask in range(2**length):
             word = tuple(RIGHT if mask >> i & 1 else LEFT for i in range(length))
-            ok = ok and decompose_special(apply_word(IDENTITY, word)) == word
+            ok = ok and decompose_special(apply_word(IDENTITY, word_of_letters(word))) == word
         if not ok:
             break
     for d in range(1, 6):

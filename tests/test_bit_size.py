@@ -4,14 +4,16 @@ The checks count `Plft`, `GaussianRational` and `Fraction`
 constructions, not wall time.  A walk that goes one move at a time
 builds a value per move, 10^5 or more on these inputs; a walk by runs
 builds a handful.  The complex chain also counts its translations of
-1/z, to show that it climbs once.
+1/z, to show that it climbs once.  The walks over a run of 10^18 moves
+also bound their peak memory.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from helpers import apply_complex_move, constructions
+from helpers import apply_complex_move, constructions, word_of_letters
 from plft_forest import (
     IDENTITY,
     LEFT,
@@ -37,6 +39,8 @@ RUN = 10**5
 WORD = (RIGHT,) * 2 + (LEFT,) * 7 + (RIGHT,) * RUN + (LEFT,) * 3
 ROOT = Plft(2, 1, 1, 2)
 MOST_BUILT = 50
+HUGE = 10**18
+MOST_BYTES = 64 * 1024
 
 
 def _product(*matrices):
@@ -53,7 +57,7 @@ def _closed_form(root):
 
 
 def test_apply_word_builds_one_plft_per_call(monkeypatch):
-    w, built = constructions(monkeypatch, apply_word, ROOT, WORD)
+    w, built = constructions(monkeypatch, apply_word, ROOT, word_of_letters(WORD))
     assert w == _closed_form(ROOT)
     assert built <= MOST_BUILT
 
@@ -74,6 +78,35 @@ def test_decompose_special_takes_runs_whole(monkeypatch):
     word, built = constructions(monkeypatch, decompose_special, _closed_form(IDENTITY))
     assert word == WORD
     assert built <= MOST_BUILT
+
+
+def _peak_bytes(fn, *args):
+    """fn(*args) and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _root_and_back(w):
+    root, word = root_by_iteration(w)
+    return root, word, apply_word(root, word)
+
+
+def test_root_by_iteration_and_apply_word_take_a_huge_run(monkeypatch):
+    # (10^18 z + 1)/z = 1/z + 10^18: one R-run of 10^18 moves above the orphan 1/z
+    w = Plft(HUGE, 1, 1, 0)
+    ((root, word, back), peak), built = constructions(monkeypatch, _peak_bytes, _root_and_back, w)
+    assert root == Plft(0, 1, 1, 0) and word.runs == (HUGE,) and back == w
+    assert built <= 4 and peak <= MOST_BYTES
+
+
+def test_decompose_special_takes_a_huge_run(monkeypatch):
+    (word, peak), built = constructions(monkeypatch, _peak_bytes, decompose_special, Plft(1, HUGE, 0, 1))
+    assert word.runs == (HUGE,) and word[0] == word[-1] == RIGHT
+    assert built <= 4 and peak <= MOST_BYTES
 
 
 def test_ancestors_of_rational_long_run():

@@ -10,11 +10,14 @@ from helpers import (
     ancestors_by_unary_walk,
     check_reads_as,
     first_rows_rationals,
+    left_child,
     orphans,
     plfts,
     positive_rationals,
     rational_tree_paths,
+    right_child,
     root_by_unary_walk,
+    word_of_letters,
     words,
 )
 from plft_forest import cf as cf_module
@@ -143,8 +146,8 @@ def test_lr_on_cf_examples():
 @given(plfts(max_coeff=10**4))
 def test_lr_on_cf_matches_children(w):
     cf = plft_cf_expand(w)
-    assert lr_on_cf(cf, LEFT) == plft_cf_expand(w.left_child())
-    assert lr_on_cf(cf, RIGHT) == plft_cf_expand(w.right_child())
+    assert lr_on_cf(cf, LEFT) == plft_cf_expand(left_child(w))
+    assert lr_on_cf(cf, RIGHT) == plft_cf_expand(right_child(w))
 
 
 # -- orphan root via rational expansions --------------------------------------
@@ -187,7 +190,7 @@ def _normalized(w, report):
 @given(orphans(), words())
 @settings(max_examples=300)
 def test_root_routes_agree(orphan, word):
-    w = apply_word(orphan, word)
+    w = apply_word(orphan, word_of_letters(word))
     report = orphan_root_cf(w)
     root_iter, word_iter = root_by_iteration(w)
     assert report.root == root_iter == orphan
@@ -241,7 +244,7 @@ def test_decompose_special_examples():
     assert decompose_special(Plft(1, 2, 2, 1)) is None
 
 
-@given(st.one_of(plfts(max_coeff=30), plfts(max_coeff=2000), words().map(lambda word: apply_word(IDENTITY, word))))
+@given(st.one_of(plfts(max_coeff=30), plfts(max_coeff=2000), words().map(lambda word: apply_word(IDENTITY, word_of_letters(word)))))
 def test_decompose_special_matches_unary_walk(m):
     root, word = root_by_unary_walk(m)
     assert decompose_special(m) == (word if root == IDENTITY else None)
@@ -249,7 +252,7 @@ def test_decompose_special_matches_unary_walk(m):
 
 @given(words(max_size=20))
 def test_decompose_inverts_apply_word(word):
-    m = apply_word(IDENTITY, word)
+    m = apply_word(IDENTITY, word_of_letters(word))
     assert decompose_special(m) == word
 
 

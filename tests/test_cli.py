@@ -1,5 +1,6 @@
 import contextlib
 import io
+import sys
 import tempfile
 
 import pytest
@@ -81,6 +82,13 @@ def test_series_command(capsys):
     assert len(lines) == 3
 
 
+def test_series_rows_at_one_and_two(capsys):
+    # x = 1 has reference 0 and ratio inf; x = 2 has a reference below 1
+    code, out, _ = run(capsys, "series", "--points", "1,2")
+    assert code == 0
+    assert out == "x,summatory,reference,ratio\n1,1,0.0,inf\n2,5,0.4804530139182014,10.40684490502804\n"
+
+
 def test_aux_command(capsys):
     code, out, _ = run(capsys, "aux", "--points", "2")
     assert code == 0
@@ -131,6 +139,13 @@ def test_input_errors_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [("census", "--max"), ("series", "--points")])
+def test_sizes_past_memory_exit_2(capsys, argv):
+    # just under sys.maxsize the table allocation fails at once, without allocating
+    code, out, err = run(capsys, *argv, str(sys.maxsize - 1))
+    assert (code, out, err) == (2, "", "error: not enough memory for this input\n")
 
 
 def test_unwritable_out_exits_2(capsys, tmp_path):

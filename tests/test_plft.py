@@ -4,7 +4,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import orphans, plfts, root_by_unary_walk, words
+from helpers import (
+    child,
+    left_child,
+    orphans,
+    parent,
+    plfts,
+    right_child,
+    root_by_unary_walk,
+    word_of_letters,
+    words,
+)
 from plft_forest import IDENTITY, LEFT, RIGHT, Plft, apply_word, format_word, root_by_iteration
 from plft_forest.plft import parent_runs, word_of_runs
 
@@ -44,32 +54,32 @@ def test_is_orphan(coeffs, expected):
 
 
 def test_children_examples():
-    assert Plft(1, 0, 0, 1).left_child() == Plft(1, 0, 1, 1)
-    assert Plft(2, 1, 1, 2).right_child() == Plft(3, 3, 1, 2)
-    assert Plft(1, 0, 0, 1).right_child() == Plft(1, 1, 0, 1)
+    assert left_child(Plft(1, 0, 0, 1)) == Plft(1, 0, 1, 1)
+    assert right_child(Plft(2, 1, 1, 2)) == Plft(3, 3, 1, 2)
+    assert right_child(Plft(1, 0, 0, 1)) == Plft(1, 1, 0, 1)
 
 
 def test_apply_word_examples():
-    assert apply_word(Plft(2, 1, 1, 2), (RIGHT, LEFT, RIGHT)) == Plft(7, 8, 4, 5)
-    assert apply_word(IDENTITY, ()) == IDENTITY
-    assert apply_word(IDENTITY, (LEFT, LEFT)) == Plft(1, 0, 2, 1)
+    assert apply_word(Plft(2, 1, 1, 2), word_of_letters((RIGHT, LEFT, RIGHT))) == Plft(7, 8, 4, 5)
+    assert apply_word(IDENTITY, word_of_letters(())) == IDENTITY
+    assert apply_word(IDENTITY, word_of_letters((LEFT, LEFT))) == Plft(1, 0, 2, 1)
 
 
 def test_apply_word_is_composition_order():
     # (R, L) means R(L(g)): the last element is the first step at the root.
     g = IDENTITY
-    assert apply_word(g, (RIGHT, LEFT)) == g.left_child().right_child()
-    assert apply_word(g, (LEFT, RIGHT)) == g.right_child().left_child()
+    assert apply_word(g, word_of_letters((RIGHT, LEFT))) == right_child(left_child(g))
+    assert apply_word(g, word_of_letters((LEFT, RIGHT))) == left_child(right_child(g))
 
 
 def test_parent_examples():
-    assert Plft(7, 8, 4, 5).parent() == (Plft(3, 3, 4, 5), RIGHT)
-    assert Plft(1, 2, 2, 1).parent() is None
-    assert Plft(1, 1, 0, 1).parent() == (Plft(1, 0, 0, 1), RIGHT)
+    assert parent(Plft(7, 8, 4, 5)) == (Plft(3, 3, 4, 5), RIGHT)
+    assert parent(Plft(1, 2, 2, 1)) is None
+    assert parent(Plft(1, 1, 0, 1)) == (Plft(1, 0, 0, 1), RIGHT)
 
 
 def test_parent_boundary_produces_zero_coefficient():
-    assert Plft(1, 2, 1, 1).parent() == (Plft(0, 1, 1, 1), RIGHT)
+    assert parent(Plft(1, 2, 1, 1)) == (Plft(0, 1, 1, 1), RIGHT)
 
 
 def test_root_by_iteration_examples():
@@ -93,14 +103,17 @@ def test_parent_runs_examples():
 
 
 def test_apply_word_rejects_bad_move():
-    with pytest.raises(ValueError):
-        apply_word(IDENTITY, (RIGHT, "X", LEFT))
+    # a word reaches apply_word only as runs, and word_of_runs refuses
+    # a negative run, an empty run after the first, and a non-int
+    for bad in ((-1,), (1, 0), (2, 1, 0, 3), (1.0,), (1, "2"), (True,)):
+        with pytest.raises(ValueError):
+            word_of_runs(bad)
 
 
 def test_long_words_stay_exact():
     # Alternating L/R inflates coefficients like Fibonacci numbers; a
     # word of length 200 must survive without overflow.
-    node = apply_word(IDENTITY, (LEFT, RIGHT) * 100)
+    node = apply_word(IDENTITY, word_of_letters((LEFT, RIGHT) * 100))
     assert node.det == 1
     assert max(node.a, node.b, node.c, node.d) > 2**130
 
@@ -134,51 +147,65 @@ def test_display(coeffs, text):
 
 def test_word_text_roundtrip():
     assert tuple("RLR") == (RIGHT, LEFT, RIGHT)
-    assert format_word((RIGHT, LEFT, RIGHT)) == "RLR"
-    assert format_word(()) == ""
+    assert format_word(word_of_letters((RIGHT, LEFT, RIGHT))) == "RLR"
+    assert format_word(word_of_letters(())) == ""
+    assert format_word(word_of_runs((0, 2, 3))) == "LLRRR"
     with pytest.raises(ValueError):
-        format_word(tuple("RLX"))
+        format_word(word_of_runs((1, -1, 1)))
+
+
+def test_word_equals_the_letters_it_spells():
+    word = word_of_runs((0, 2, 1))
+    assert word == (LEFT, LEFT, RIGHT) == word
+    assert word == [LEFT, LEFT, RIGHT] and word == word_of_letters("LLR")
+    assert word != (LEFT, LEFT) and word != (LEFT, LEFT, LEFT) and word != "LLR"
+    assert word_of_runs(()) == () and word_of_runs((0,)) == []
+    with pytest.raises(TypeError):
+        hash(word)
+    # lengths past sys.maxsize compare without calling len()
+    huge = word_of_runs((10**19, 10**19))
+    assert huge != word_of_runs((10**19, 10**19 - 1)) and huge != word and word != huge
 
 
 # -- properties --------------------------------------------------------------
 
 @given(plfts())
 def test_parent_inverts_children(w):
-    assert w.left_child().parent() == (w, LEFT)
-    assert w.right_child().parent() == (w, RIGHT)
+    assert parent(left_child(w)) == (w, LEFT)
+    assert parent(right_child(w)) == (w, RIGHT)
 
 
 @given(plfts())
 def test_children_preserve_determinant(w):
-    assert w.left_child().det == w.det == w.right_child().det
+    assert left_child(w).det == w.det == right_child(w).det
 
 
 @given(plfts())
 def test_gcd_of_columns_is_preserved_by_children(w):
-    for child in (w.left_child(), w.right_child()):
-        assert gcd(child.a, child.c) == gcd(w.a, w.c)
-        assert gcd(child.b, child.d) == gcd(w.b, w.d)
+    for kid in (left_child(w), right_child(w)):
+        assert gcd(kid.a, kid.c) == gcd(w.a, w.c)
+        assert gcd(kid.b, kid.d) == gcd(w.b, w.d)
 
 
 @given(plfts())
 def test_orphan_iff_parentless(w):
-    assert w.is_orphan == (w.parent() is None)
+    assert w.is_orphan == (parent(w) is None)
 
 
 @given(plfts())
 def test_child_of_parent_restores(w):
-    up = w.parent()
+    up = parent(w)
     if up is not None:
-        parent, move = up
-        assert parent.child(move) == w
+        above, move = up
+        assert child(above, move) == w
 
 
 @given(orphans(), words())
 def test_apply_word_matches_child_steps(orphan, word):
     node = orphan
     for move in reversed(word):
-        node = node.child(move)
-    assert apply_word(orphan, word) == node
+        node = child(node, move)
+    assert apply_word(orphan, word_of_letters(word)) == node
 
 
 @given(st.one_of(plfts(max_coeff=30), plfts(max_coeff=2000)))
@@ -189,7 +216,7 @@ def test_root_by_iteration_matches_unary_walk(w):
 
 @given(orphans(), words())
 def test_root_by_iteration_inverts_apply_word(orphan, word):
-    node = apply_word(orphan, word)
+    node = apply_word(orphan, word_of_letters(word))
     root, recovered = root_by_iteration(node)
     assert root == orphan
     assert recovered == word
