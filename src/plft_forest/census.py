@@ -18,16 +18,21 @@ independent routes are provided:
   * count_orphans -- the column differences p = a - c, q = d - b >= 1
                   turn the determinant into p*q + p*b + q*c = D, so
                   that for each p, q the entry b runs over one residue
-                  class and c follows from it; the count adds up the
-                  sizes of those classes and builds no matrix.  (The
-                  literal list of the matrices is a test oracle.)
+                  class modulo q/gcd(p, q) and c follows from it.  One
+                  pass takes each pair p <= q once, with one gcd and one
+                  modular inverse, and adds the size of its class to
+                  every D <= N; the equation is symmetric under
+                  (p, b) <-> (q, c), so a pair with p < q counts twice.
+                  It builds no matrix.  (The literal list of the
+                  matrices is a test oracle.)
 
-The three share no loop and no table.  The direct pass walks the
-entries a, c and b and lets d run; count_orphans walks the column
-differences p = a - c and q = d - b and solves for b.  Counting the
-starts of one a at once, as the divisors a - c of D0 - a, would write
-D = a*(d - b) + b*(a - c), which is count_orphans' equation, and the
-two routes would then check one computation against itself.
+The two passes solve one equation, D = a*q + p*b with 1 <= p <= a,
+q >= 1 and b >= 0, and share no loop and no table; they differ in the
+loop order and the arithmetic.  The direct pass walks a, c and b, lets
+d run and only adds; the count pass walks p and q, lets D run and
+solves for b by a gcd and a modular inverse.  Counting the starts of
+one a as the divisors a - c of D0 - a, or the class sizes as marks with
+a stride prefix sum, would make them one computation checked twice.
 
 The summatory function of h grows like x^2 * log(x)^2 / 4; the series
 helpers emit the data behind that comparison, and `harmonic_double_sum` is the
@@ -43,27 +48,27 @@ where the diagonal (equal part sizes) contributes sigma - tau.  A
 brute-force partition enumerator in the test suite pins the identity
 down.  Summed over D <= x the convolution becomes
 
-    sum_{A+B<=x} tau(A)*tau(B)  =  sum_{A<x} tau(A)*T(x-A),
+    sum_{A+B<=x} tau(A)*tau(B)  =  sum_{B<x} T(B)*tau(x-B),
 
-with T the prefix sum of tau, so the summatory function takes O(x)
-exact integer steps once the sieve reaches x.  The sum of sigma it
+with T the prefix sum of tau, taken as a running sum while tau is read
+backwards, so the summatory function takes O(x) exact integer steps
+once the sieve reaches x and keeps no table of T.  The sum of sigma it
 needs is sum_{k<=x} k * (x // k), which takes O(sqrt(x)) steps, so no
 table of sigma is kept: nu2 takes sigma(D) from trial division.
 
 tau comes from a linear sieve, which reaches each n once through its
-least prime factor.  It is held in an array('I') and its prefix sums
-T in an array('q'), four and eight bytes an entry.  Both are exact:
-tau(n) <= 2*sqrt(n) < 2^32 for n < 2^62, and T(x) <= x*(1 + log x)
-< 2^63 for x < 2^57, far beyond any table that fits in memory; and an
-array raises OverflowError on a value that does not fit rather than
-wrap it.
+least prime factor, and is held in an array('I'), four bytes an entry.
+That is exact: tau(n) <= 2*sqrt(n) < 2^32 for n < 2^62, far beyond any
+table that fits in memory, and an array raises OverflowError on a
+value that does not fit rather than wrap it.
 
-Two module caches serve the census rows, which ask for one D after
-another: the sieve's tau for nu2 and the direct pass's counts for
-h_direct.  A request beyond a cache rebuilds it to at least twice its
-length and swaps the new table in whole, so rows 1..N cost O(log N)
-builds, and census_rows(N) sizes the direct cache to N in one pass.
-The summatory function sieves to its own top and keeps nothing.
+Three module caches serve the census rows, which ask for one D after
+another: the sieve's tau for nu2, and the direct and the count pass
+for h_direct and count_orphans.  A request beyond a cache rebuilds it
+to at least twice its length and swaps the new table in whole, so rows
+1..N cost O(log N) builds, and census_rows(N) sizes both pass caches to
+N in one pass each.  The summatory function sieves to its own top and
+keeps nothing.
 """
 
 from __future__ import annotations
@@ -127,21 +132,27 @@ def _sieve(n: int) -> array:
 # so a reader never sees a table half built.
 _tau_cache = array("I", [0])
 _direct_cache = [0]
+_count_cache = [0]
+
+
+def _grown(name: str, build, n: int):
+    """The module cache `name` if it reaches index n, else build(max(n, 2*len)) swapped in.
+
+    For nu2 and the census rows, which ask for one D after another: a
+    rebuild at least doubles the cache, so asking for n = 1, 2, 3, ... in
+    turn builds to 2, 6, 14, 30, ..., and rows 1..200 cost 7 builds, the
+    last one to 254.
+    """
+    cache = globals()[name]
+    if len(cache) <= n:
+        cache = build(max(n, 2 * len(cache)))
+        globals()[name] = cache
+    return cache
 
 
 def _tau_table(n: int) -> array:
-    """tau[0..n] (index 0 unused), or a longer table, from the module cache.
-
-    For nu2 and the census rows, which ask for one D after another.  A
-    rebuild at least doubles the cache, so asking for n = 1, 2, 3, ...
-    in turn builds O(log n) times.
-    """
-    global _tau_cache
-    cache = _tau_cache
-    if len(cache) <= n:
-        cache = _sieve(max(n, 2 * len(cache)))
-        _tau_cache = cache
-    return cache
+    """tau[0..n] (index 0 unused), or a longer table, from the module cache."""
+    return _grown("_tau_cache", _sieve, n)
 
 
 def _check_positive(d: int) -> int:
@@ -234,18 +245,8 @@ def _direct_pass(n: int) -> list[int]:
 
 
 def _direct_table(n: int) -> list[int]:
-    """h(D) for every D <= n (index 0 unused), or for more D, from the module cache.
-
-    Grows like `_tau_table`: asking for n = 1, 2, 3, ... in turn runs the
-    direct pass to 2, 6, 14, 30, ..., so rows 1..200 cost 7 passes, the
-    last one to 254.
-    """
-    global _direct_cache
-    cache = _direct_cache
-    if len(cache) <= n:
-        cache = _direct_pass(max(n, 2 * len(cache)))
-        _direct_cache = cache
-    return cache
+    """h(D) for every D <= n (index 0 unused), or for more D, from the module cache."""
+    return _grown("_direct_cache", _direct_pass, n)
 
 
 def h_direct(d: int) -> int:
@@ -258,29 +259,38 @@ def h_direct(d: int) -> int:
     return _direct_table(d)[d]
 
 
-def count_orphans(d: int) -> int:
-    """Number of orphans with determinant d, by the sizes of residue classes.
+def _count_pass(n: int) -> list[int]:
+    """h(D) for every D <= n (index 0 unused), by the sizes of residue classes.
 
-    Writing a = c + p and d' = b + q with p, q >= 1 turns the
-    determinant into p*q + p*b + q*c = D.  For each p, q with p*q <= D
-    the admissible b, from 0 to (D - p*q)//p, form one residue class
-    modulo q/gcd(p, q), and c follows from b; the count adds up the
-    sizes of the classes and builds no matrix.
+    For each p <= q with p*q <= n, only D = p*q + j*g (g = gcd(p, q)) has
+    a solution, and there the admissible b, from 0 to (D - p*q)//p, form
+    one residue class modulo q/g.  About n^2 log(n) / 2 steps.
     """
-    _check_positive(d)
-    count = 0
-    for p in range(1, d + 1):
-        for q in range(1, d // p + 1):
-            rest = d - p * q
+    counts = [0] * (_check_indexable(n) + 1)
+    for p in range(1, math.isqrt(n) + 1):
+        for q in range(p, n // p + 1):
             g = math.gcd(p, q)
-            if rest % g:
-                continue
             step = q // g
-            first = (rest // g) * pow(p // g, -1, step) % step
-            top = rest // p
-            if first <= top:
-                count += (top - first) // step + 1
-    return count
+            inv = pow(p // g, -1, step)
+            weight = 1 if p == q else 2
+            pq = p * q
+            for j, d in enumerate(range(pq, n + 1, g)):
+                first = j * inv % step  # (D - p*q)/g * (p/g)^-1 mod q/g
+                top = (d - pq) // p
+                if first <= top:
+                    counts[d] += weight * ((top - first) // step + 1)
+    return counts
+
+
+def _count_table(n: int) -> list[int]:
+    """h(D) for every D <= n (index 0 unused), or for more D, from the module cache."""
+    return _grown("_count_cache", _count_pass, n)
+
+
+def count_orphans(d: int) -> int:
+    """Number of orphans with determinant d: entry d of the cached `_count_pass`."""
+    _check_positive(d)
+    return _count_table(d)[d]
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +347,10 @@ def census_row(d: int) -> CensusRow:
 
 
 def census_rows(dmax: int) -> list[CensusRow]:
-    """Rows 1..dmax, with the direct counts of all of them from one pass."""
+    """Rows 1..dmax, with the direct and the class counts of all of them from one pass each."""
     _check_positive(dmax)
     _direct_table(dmax)
+    _count_table(dmax)
     return [census_row(d) for d in range(1, dmax + 1)]
 
 
@@ -366,16 +377,17 @@ def _sigma_summatory(x: int) -> int:
 def _summatory(xs: list[int]) -> list[int]:
     """sum_{D<=x} h(D) for each x in xs, by the prefix-sum identity in the module docstring."""
     tau = _sieve(max(xs))
-    tau_prefix = array("q", accumulate(tau))
     sums = []
     for x in xs:
-        # tau[1..x-1] against T[x-1..1], read in place: a slice would copy up to x entries
-        conv = sum(map(mul, islice(tau, 1, x), islice(reversed(tau_prefix), len(tau) - x, None)))
+        # T(1..x-1) as a running sum against tau[x-1..1], read in place:
+        # neither a slice nor a table of T is made
+        conv = sum(map(mul, accumulate(islice(tau, 1, x)), islice(reversed(tau), len(tau) - x, None)))
+        tau_sum = sum(islice(tau, 1, x + 1))
         sigma_sum = _sigma_summatory(x)
-        paired = conv + tau_prefix[x] - sigma_sum
+        paired = conv + tau_sum - sigma_sum
         if paired % 2:
             raise InternalInvariantError(f"odd distinct-size pair count {paired} summed to x={x}")
-        sums.append(paired // 2 + 2 * sigma_sum - tau_prefix[x])
+        sums.append(paired // 2 + 2 * sigma_sum - tau_sum)
     return sums
 
 

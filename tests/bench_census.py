@@ -13,11 +13,12 @@ from plft_forest import census
 
 @pytest.fixture
 def cold_caches(monkeypatch):
-    """A function that empties both module caches; monkeypatch puts the old ones back after the test."""
+    """A function that empties the three module caches; monkeypatch puts the old ones back after the test."""
 
     def empty():
         monkeypatch.setattr(census, "_tau_cache", array("I", [0]))
         monkeypatch.setattr(census, "_direct_cache", [0])
+        monkeypatch.setattr(census, "_count_cache", [0])
 
     return empty
 
@@ -30,6 +31,10 @@ def test_census_rows_1_to_200_one_at_a_time_from_cold(benchmark, cold_caches):
 
 def test_direct_pass_to_256(benchmark):
     assert benchmark(census._direct_pass, 256)[256] == 5342
+
+
+def test_count_pass_to_256(benchmark):
+    assert benchmark(census._count_pass, 256)[256] == 5342
 
 
 def test_summatory_h_at_4e4(benchmark):

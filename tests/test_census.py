@@ -1,5 +1,7 @@
 import functools
 import math
+import sys
+import tracemalloc
 from array import array
 from fractions import Fraction
 from itertools import accumulate
@@ -81,9 +83,10 @@ def test_nu2_against_full_partition_iteration():
 
 
 def _cold_caches(monkeypatch):
-    """Empty both module caches for one test; monkeypatch puts the old ones back after it."""
+    """Empty the three module caches for one test; monkeypatch puts the old ones back after it."""
     monkeypatch.setattr(census_module, "_tau_cache", array("I", [0]))
     monkeypatch.setattr(census_module, "_direct_cache", [0])
+    monkeypatch.setattr(census_module, "_count_cache", [0])
 
 
 def test_sieve_grows_geometrically(monkeypatch):
@@ -187,6 +190,27 @@ def test_count_orphans_equals_list_to_200():
         assert count_orphans(d) == len(enumerate_orphans(d)), f"D={d}"
 
 
+def test_count_pass_equals_list_at_every_length_to_120():
+    # every length checks the last classes of range(p*q, n + 1, g) at the table's end
+    listed = [0] + [len(enumerate_orphans(d)) for d in range(1, 121)]
+    for n in range(121):
+        assert census_module._count_pass(n) == listed[:n + 1], f"n={n}"
+
+
+@pytest.mark.parametrize("build", ["_sieve", "_direct_pass", "_count_pass"])
+def test_passes_refuse_a_size_past_indexing(build):
+    # refused before the table is allocated: a list or array of sys.maxsize
+    # entries would raise MemoryError or OverflowError instead
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="too large for a table"):
+            getattr(census_module, build)(sys.maxsize)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 def test_census_row_builds_no_plft(monkeypatch):
     for d in range(1, 61):
         row, built = constructions(monkeypatch, census_row, d)
@@ -267,6 +291,23 @@ def test_census_rows_runs_the_direct_pass_once(monkeypatch):
     assert calls == [40]
     census_row(40)  # rows the pass reached cost no further pass
     assert calls == [40]
+
+
+def test_census_row_rebuilds_each_cache_at_doubling_sizes(monkeypatch):
+    # rows 1..200 one at a time from cold caches: a rebuild past size n
+    # (n + 1 entries) goes to size 2*(n + 1), and only row 2*n + 3 needs one
+    _cold_caches(monkeypatch)
+    names = ("_tau_cache", "_direct_cache", "_count_cache")
+    sizes = {name: [] for name in names}
+    caches = {name: getattr(census_module, name) for name in names}
+    for d in range(1, 201):
+        census_row(d)
+        for name in names:
+            cache = getattr(census_module, name)
+            if cache is not caches[name]:
+                sizes[name].append(len(cache) - 1)
+                caches[name] = cache
+    assert sizes == {name: [2, 6, 14, 30, 62, 126, 254] for name in names}
 
 
 def test_census_row_runs_the_direct_pass_a_few_times(monkeypatch):
