@@ -44,9 +44,11 @@ and of B serves as the part size gives
 
     sum_{A+B=D} tau(A)*tau(B)  =  2*nu2(D) + sigma(D) - tau(D),
 
-where the diagonal (equal part sizes) contributes sigma - tau.  A
-brute-force partition enumerator in the test suite pins the identity
-down.  Summed over D <= x the convolution becomes
+where the diagonal (equal part sizes) contributes sigma - tau.  The
+sum is symmetric under A <-> D - A, so nu2 takes twice the sum over
+A < D/2, plus tau(D/2)^2 for even D.  A brute-force partition
+enumerator in the test suite pins the identity down.  Summed over
+D <= x the convolution becomes
 
     sum_{A+B<=x} tau(A)*tau(B)  =  sum_{B<x} T(B)*tau(x-B),
 
@@ -67,8 +69,9 @@ another: the sieve's tau for nu2, and the direct and the count pass
 for h_direct and count_orphans.  A request beyond a cache rebuilds it
 to at least twice its length and swaps the new table in whole, so rows
 1..N cost O(log N) builds, and census_rows(N) sizes both pass caches to
-N in one pass each.  The summatory function sieves to its own top and
-keeps nothing.
+N in one pass each.  A row evaluates each route once: its nu2 is
+h_closed - 2*sigma + tau, not a second convolution.  The summatory
+function sieves to its own top and keeps nothing.
 """
 
 from __future__ import annotations
@@ -202,7 +205,10 @@ def nu2(d: int) -> int:
     """
     _check_positive(d)
     tau = _tau_table(d)
-    conv = sum(map(mul, tau[1:d], tau[d - 1:0:-1]))
+    half = d // 2
+    conv = 2 * sum(map(mul, tau[1:d - half], tau[d - 1:half:-1]))  # A < D/2 against D - A
+    if d % 2 == 0:
+        conv += tau[half] ** 2  # A = B = D/2
     paired = conv + tau[d] - divisor_sigma(d)
     if paired % 2:
         raise InternalInvariantError(f"odd distinct-size pair count {paired} at D={d}")
@@ -277,8 +283,8 @@ def _count_pass(n: int) -> list[int]:
             for j, d in enumerate(range(pq, n + 1, g)):
                 first = j * inv % step  # (D - p*q)/g * (p/g)^-1 mod q/g
                 top = (d - pq) // p
-                if first <= top:
-                    counts[d] += weight * ((top - first) // step + 1)
+                # 0 <= first < step and top >= 0, so an empty class (first > top) adds 0
+                counts[d] += weight * ((top - first) // step + 1)
     return counts
 
 
@@ -335,12 +341,15 @@ class CensusRow(Value):
 def census_row(d: int) -> CensusRow:
     """Compute one row by all three routes; raises if they disagree."""
     _check_positive(d)
+    sigma = divisor_sigma(d)
+    tau = divisor_tau(d)
+    closed = h_closed(d)
     return CensusRow(
         D=d,
-        nu2=nu2(d),
-        sigma=divisor_sigma(d),
-        tau=divisor_tau(d),
-        h_closed=h_closed(d),
+        nu2=closed - 2 * sigma + tau,
+        sigma=sigma,
+        tau=tau,
+        h_closed=closed,
         h_direct=h_direct(d),
         orphan_count=count_orphans(d),
     )
@@ -379,9 +388,9 @@ def _summatory(xs: list[int]) -> list[int]:
     tau = _sieve(max(xs))
     sums = []
     for x in xs:
-        # T(1..x-1) as a running sum against tau[x-1..1], read in place:
-        # neither a slice nor a table of T is made
-        conv = sum(map(mul, accumulate(islice(tau, 1, x)), islice(reversed(tau), len(tau) - x, None)))
+        # T(1..x-1) as a running sum against tau[x-1..1], read in place
+        # through a memoryview: neither a copy of tau nor a table of T is made
+        conv = sum(map(mul, accumulate(islice(tau, 1, x)), memoryview(tau)[x - 1:0:-1]))
         tau_sum = sum(islice(tau, 1, x + 1))
         sigma_sum = _sigma_summatory(x)
         paired = conv + tau_sum - sigma_sum

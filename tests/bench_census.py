@@ -29,6 +29,18 @@ def test_census_rows_1_to_200_one_at_a_time_from_cold(benchmark, cold_caches):
     assert rows[14].h_closed == 88
 
 
+def test_census_row_1_to_200_warm(benchmark):
+    # the caches are built first, so this is the per-row cost of the three routes
+    census.census_rows(200)
+    rows = benchmark(lambda: [census.census_row(d) for d in range(1, 201)])
+    assert rows[14].h_closed == 88
+
+
+def test_nu2_200(benchmark):
+    census.nu2(200)  # sieve built first
+    assert benchmark(census.nu2, 200) == 3123
+
+
 def test_direct_pass_to_256(benchmark):
     assert benchmark(census._direct_pass, 256)[256] == 5342
 

@@ -219,6 +219,22 @@ def nu2_brute(d: int) -> int:
     return count
 
 
+def nu2_by_full_convolution(n: int) -> list:
+    """nu2(D) for every D <= n (index 0 unused), from the convolution over every ordered pair.
+
+    sum_{A=1}^{D-1} tau(A)*tau(D - A) = 2*nu2(D) + sigma(D) - tau(D), with
+    tau and sigma from ``sieve_by_divisor_multiples``: the full-length
+    reference for the library's sum over A < D/2.
+    """
+    tau, sigma = sieve_by_divisor_multiples(n)
+    counts = [0]
+    for d in range(1, n + 1):
+        paired = sum(tau[a] * tau[d - a] for a in range(1, d)) + tau[d] - sigma[d]
+        assert paired % 2 == 0, d
+        counts.append(paired // 2)
+    return counts
+
+
 def orphans_by_definition(d: int) -> set:
     """Orphans of determinant d in the a > c, d' > b cone, by a literal scan.
 

@@ -15,6 +15,7 @@ from helpers import (
     enumerate_orphans,
     iter_partitions,
     nu2_brute,
+    nu2_by_full_convolution,
     orphans_by_definition,
     run_python,
     sieve_by_divisor_multiples,
@@ -80,6 +81,15 @@ def test_nu2_against_full_partition_iteration():
     for d in range(1, 26):
         expected = sum(1 for parts in iter_partitions(d) if len(parts) == 2)
         assert nu2(d) == expected, f"D={d}"
+
+
+def test_nu2_equals_the_full_convolution_to_600():
+    # the sum over A < D/2, doubled, plus tau(D/2)^2 for even D, against
+    # every ordered pair.  D = 1 has neither term, D = 2 only the middle
+    # one and D = 3 one pair.  The row's nu2 is taken back out of h_closed.
+    expected = nu2_by_full_convolution(600)[1:]
+    assert [nu2(d) for d in range(1, 601)] == expected
+    assert [row.nu2 for row in census_rows(600)] == expected
 
 
 def _cold_caches(monkeypatch):
@@ -217,7 +227,7 @@ def test_census_row_builds_no_plft(monkeypatch):
         assert row.orphan_count == row.h_closed and built == 0, f"D={d}"
 
 
-@pytest.mark.parametrize("route, bound_kib", [("h_direct", 64), ("count_orphans", 64)])
+@pytest.mark.parametrize("route, bound_kib", [("h_closed", 64), ("h_direct", 64), ("count_orphans", 64)])
 def test_route_memory_at_300(route, bound_kib):
     # A fresh process, because module caches grown by earlier tests in
     # this one would hide what a cold call allocates.
@@ -226,6 +236,17 @@ def test_route_memory_at_300(route, bound_kib):
         f"census.{route}(300); print(tracemalloc.get_traced_memory()[1])"
     )
     assert int(_run_fresh(code)) < bound_kib * 1024
+
+
+def test_census_row_evaluates_nu2_once(monkeypatch):
+    # the row's nu2 field comes out of h_closed, which is the one caller
+    calls = []
+    original = census_module.nu2
+    monkeypatch.setattr(census_module, "nu2", lambda d: calls.append(d) or original(d))
+    for d in (1, 2, 12, 101):
+        census_row(d)
+        assert calls == [d]
+        calls.clear()
 
 
 def test_three_routes_agree_to_sixty():
