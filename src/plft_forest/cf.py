@@ -259,38 +259,27 @@ def _variant_list(n: int, d: int) -> list[Quotients]:
 # words and monoid membership
 # ---------------------------------------------------------------------------
 
-def _prefix_extension_pair(m: Plft) -> bool:
-    # Does some representation pair make one of a/c, b/d exactly one
-    # term longer than the other, which is a full prefix?  Words ending
-    # in L have a/c as the longer side, words ending in R have b/d, so
-    # both orientations must be tried.  (Requires c, d nonzero.)
-    for qa in _variant_list(m.a, m.c):
-        for qb in _variant_list(m.b, m.d):
-            if len(qa) == len(qb) + 1 and qa[: len(qb)] == qb:
-                return True
-            if len(qb) == len(qa) + 1 and qb[: len(qa)] == qa:
-                return True
-    return False
-
-
 def decompose_special(m: Plft) -> "RunSteps | None":
     """Write m as a word over {L1, R1}, or None when impossible.
 
     The word satisfies ``apply_word(IDENTITY, word) == m``.  Membership
     is decided by the parent walk, one run at a time, and a member's word
-    is `plft.word_of_runs` of its runs, so the cost is O(bit size).  When
-    c, d are nonzero and the determinant is +-1 it is cross-checked
-    against the expansion condition (one of a/c, b/d extends the other by
-    one term in some representation pair, with determinant +1).
+    is `plft.word_of_runs` of its runs, so the cost is O(bit size).
+
+    Every input is cross-checked against its determinant: m is a member
+    exactly when det m = 1.  Parent steps keep the determinant, so the
+    root's is det m.  An orphan with a > c >= 0 and d > b >= 0 has
+    ad - bc >= (c + 1)(b + 1) - bc = b + c + 1, and one with a < c and
+    b > d has ad <= (c - 1)(b - 1) < bc, so the only orphan of
+    determinant 1 is IDENTITY.  A walk that disagrees raises
+    InternalInvariantError.
     """
     root, runs = parent_runs(m)
     in_monoid = root == IDENTITY
-    if m.c != 0 and m.d != 0 and abs(m.det) == 1:
-        expected = _prefix_extension_pair(m) and m.det == 1
-        if expected != in_monoid:
-            raise InternalInvariantError(
-                f"expansion condition and parent iteration disagree on {m.coeffs()}"
-            )
+    if in_monoid != (m.det == 1):
+        raise InternalInvariantError(
+            f"the parent walk of {m.coeffs()} ends at {root.coeffs()}, against its determinant {m.det}"
+        )
     return word_of_runs(runs) if in_monoid else None
 
 
@@ -298,43 +287,34 @@ def decompose_special(m: Plft) -> "RunSteps | None":
 # ancestors and descendants of rationals in the classic tree
 # ---------------------------------------------------------------------------
 
-def _rational_runs(p: int, q: int) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
-    # Euclid on p/q in lowest terms, one run of parent steps per division:
-    # the runs in parent_runs' form, and (p, q) at the start of each run.
-    runs, starts = [], []
-    while p != q:
-        starts.append((p, q))
-        if len(runs) % 2 == 0:
-            k = (p - 1) // q
-            p -= k * q
-        else:
-            k = (q - 1) // p
-            q -= k * p
-        runs.append(k)
-    return tuple(runs), starts
-
-
 def is_descendant_rational(ancestor: Fraction, target: Fraction) -> bool:
     """Is target a proper descendant of ancestor in the rational tree?
 
     Asks whether ancestor = P/Q lies on a run of the target's walk up to
-    1/1, the walk of `ancestors_of_rational` (so it is no check of that
-    function).  An R-run of length k from (p, q) holds P/Q iff Q = q,
-    0 < p - P <= k*q and q | p - P; an L-run iff P = p, 0 < q - Q <= k*p
-    and p | q - Q.  So the call costs O(bit size), however long the runs
-    are.  No value is its own descendant.
+    1/1, in one Euclid loop that takes the same floors as
+    `ancestors_of_rational` (so it is no check of that function) and
+    returns at the first run that holds the ancestor.  An R-run of
+    length k from (p, q) holds P/Q iff Q = q, 0 < p - P <= k*q and
+    q | p - P; an L-run iff P = p, 0 < q - Q <= k*p and p | q - Q.  So the
+    call costs O(bit size), however long the runs are.  No value is its
+    own descendant.
     """
     ancestor, target = Fraction(ancestor), Fraction(target)
     if ancestor <= 0 or target <= 0:
         raise ValueError("descendant test is defined for positive rationals")
     P, Q = ancestor.numerator, ancestor.denominator
-    runs, starts = _rational_runs(target.numerator, target.denominator)
-    for i, (k, (p, q)) in enumerate(zip(runs, starts)):
-        if i % 2 == 0:
+    p, q = target.numerator, target.denominator
+    while p != q:
+        if p > q:
+            k = (p - 1) // q
             if Q == q and 0 < p - P <= k * q and (p - P) % q == 0:
                 return True
-        elif P == p and 0 < q - Q <= k * p and (q - Q) % p == 0:
-            return True
+            p -= k * q
+        else:
+            k = (q - 1) // p
+            if P == p and 0 < q - Q <= k * p and (q - Q) % p == 0:
+                return True
+            q -= k * p
     return False
 
 
@@ -353,10 +333,20 @@ def ancestors_of_rational(w: Fraction) -> RunSteps:
     w = Fraction(w)
     if w <= 0:
         raise ValueError("ancestors are defined for positive rationals")
-    runs, starts = _rational_runs(w.numerator, w.denominator)
+    p, q = w.numerator, w.denominator
+    runs, starts = [], []  # Euclid on p/q, one run per division, and (p, q) at each run's start
+    while p != q:
+        starts.append((p, q))
+        if len(runs) % 2 == 0:
+            k = (p - 1) // q
+            p -= k * q
+        else:
+            k = (q - 1) // p
+            q -= k * p
+        runs.append(k)
 
     def step(i: int, j: int) -> Fraction:
         p, q = starts[i]
         return Fraction(p - j * q, q) if i % 2 == 0 else Fraction(p, q - j * p)
 
-    return RunSteps(runs, step)
+    return RunSteps(tuple(runs), step)

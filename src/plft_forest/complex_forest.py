@@ -9,18 +9,22 @@ inside D0 is a (u, v)-orphan.  The orphan region is exactly
     Re(z) <= v   and   |2*u*z - 1| >= 1,
 
 the quadrant minus a translation strip and an open disk.  Every
-membership test here works on squared moduli in exact rational
+membership test here works on squared moduli in exact integer
 arithmetic, so the circle boundary lands with the orphans and no square
 roots are ever taken.
 
 Walking upward goes a whole run of identical moves at a time
-(`ancestor_runs`).  An R-run subtracts a multiple of v from the real
-part, and an L-run, since the disk |2uz - 1| < 1 is the half-plane
-Re(1/z) > u, translates 1/z by a multiple of -u.  Each run is maximal,
-so the runs alternate, as Euclid's quotients do, and each L-run strictly
-raises the imaginary part.  That bounds the number of runs by
+(`ancestor_runs`), on a projective pair of Gaussian integers,
+z = beta/gamma.  An R-run subtracts a multiple of v*gamma from beta, and
+an L-run, since the disk |2uz - 1| < 1 is the half-plane Re(1/z) > u,
+subtracts a multiple of u*beta from gamma.  Each run is maximal, so the
+runs alternate, as Euclid's quotients do, and each L-run strictly raises
+the imaginary part.  That bounds the number of runs by
 2 + log_phi(max(1, 1/Im z)), so every walk ends after O(bit size) runs,
-however long they are.
+however long they are; (beta, gamma) = M^-1(X + iY, Q) for
+z = (X + iY)/Q and the runs' matrix M, of determinant 1, so the pair
+stays O(bit size) too.  The answer is certified apart from the climb:
+M must carry the root, an orphan, back to z in one Moebius evaluation.
 """
 
 from __future__ import annotations
@@ -119,16 +123,16 @@ def _require_d0(z: GaussianRational) -> None:
         raise ValueError(f"{z} is outside the open first quadrant")
 
 
-def _in_disk(z: GaussianRational, u: int) -> bool:
-    # |2uz - 1| < 1, squared and exact; the boundary circle is excluded.
-    x, y = z.re, z.im
-    return (2 * u * x - 1) ** 2 + (2 * u * y) ** 2 < 1
+def _orphan(x: int, y: int, q: int, params: OrphanParams) -> bool:
+    # (x + iy)/q, q > 0, has 0 < Re <= v and lies off the open disk |2uz - 1| < 1
+    u = params.u
+    return 0 < x <= params.v * q and (2 * u * x - q) ** 2 + (2 * u * y) ** 2 >= q * q
 
 
 def is_complex_orphan(z: GaussianRational, params: OrphanParams) -> bool:
     """Membership in the (u, v)-orphan region, exactly."""
     _require_d0(z)
-    return z.re <= params.v and not _in_disk(z, params.u)
+    return _orphan(*_parts(z), params)
 
 
 def _parts(z: GaussianRational) -> tuple[int, int, int]:
@@ -141,32 +145,16 @@ def _point(x: int, y: int, q: int) -> GaussianRational:
     return GaussianRational(Fraction(x, q), Fraction(y, q))
 
 
-def _shift_inverse(x: int, y: int, q: int, t: int) -> tuple[int, int, int]:
-    # (X, Y, Q) of 1/(1/z + t) for z = (X + iY)/Q, in lowest terms:
-    # 1/z + t = (A - iB)/N with N = X^2 + Y^2, A = QX + tN, B = QY.
-    n = x * x + y * y
-    a, b = q * x + t * n, q * y
-    x, y, q = n * a, n * b, a * a + b * b
-    g = math.gcd(x, y, q)
-    return x // g, y // g, q // g
-
-
-def _apply_runs(parts: tuple[int, int, int], runs, params: OrphanParams) -> tuple[int, int, int]:
-    # Child action of (move, k) pairs, in the order taken: R^k adds k*v to
-    # Re z, and L^k adds k*u to 1/z.
-    x, y, q = parts
-    for move, k in runs:
-        if move == RIGHT:
-            x += k * params.v * q
+def _run_matrix(runs: tuple[int, ...], params: OrphanParams) -> tuple[int, int, int, int]:
+    # M = R_v^k0 L_u^k1 R_v^k2 ... = (a, b, c, d), multiplied forward: z = M(root)
+    u, v = params.u, params.v
+    a, b, c, d = 1, 0, 0, 1
+    for i, k in enumerate(runs):
+        if i % 2:
+            a, c = a + k * u * b, c + k * u * d
         else:
-            x, y, q = _shift_inverse(x, y, q, k * params.u)
-    return x, y, q
-
-
-def _downward(runs: tuple[int, ...]):
-    # (move, k) pairs of parent_runs-form runs, in the order the child
-    # moves are taken from the root down.
-    return ((LEFT if i % 2 else RIGHT, runs[i]) for i in reversed(range(len(runs))))
+            b, d = b + k * v * a, d + k * v * c
+    return a, b, c, d
 
 
 def ancestor_runs(z: GaussianRational, params: OrphanParams) -> tuple[GaussianRational, tuple[int, ...]]:
@@ -177,13 +165,16 @@ def ancestor_runs(z: GaussianRational, params: OrphanParams) -> tuple[GaussianRa
     runs[2] R-steps, and so on; only runs[0] can be 0, an orphan gives
     (), and `plft.word_of_runs(runs)` is the word of the moves.
 
-    The point is kept as integers (X, Y, Q) with z = (X + iY)/Q.  An
-    R-step applies while Re z > v, so a maximal R-run has length
-    k = (X - 1) // (vQ) and subtracts k*v*Q from X.  An L-step applies
-    inside the disk |2uz - 1| < 1, which is exactly the half-plane
-    Re(1/z) > u, and it maps 1/z to 1/z - u.  Since
-    Re(1/z) = QX/(X^2 + Y^2), a maximal L-run has length
-    k = (QX - 1) // (u(X^2 + Y^2)) and is one translation of 1/z by -k*u.
+    The point is a projective pair of Gaussian integers, z = beta/gamma,
+    from beta = X + iY and gamma = Q for z = (X + iY)/Q, and both floors
+    read P = Re(beta conj(gamma)).  An R-step applies while
+    Re z = P/|gamma|^2 > v, so a maximal R-run has length
+    k = (P - 1) // (v|gamma|^2) and sets beta to beta - k*v*gamma.  An
+    L-step applies inside the disk |2uz - 1| < 1, which is exactly the
+    half-plane Re(1/z) = P/|beta|^2 > u, and maps 1/z = gamma/beta to
+    1/z - u, so a maximal L-run has length k = (P - 1) // (u|beta|^2) and
+    sets gamma to gamma - k*u*beta.  No run takes a gcd; the root is
+    reduced once, from beta conj(gamma)/|gamma|^2.
 
     Termination and the run count, run by run.  Each run is maximal, so
     an R-run leaves Re z <= v and an L-run leaves Re(1/z) <= u: the runs
@@ -200,52 +191,75 @@ def ancestor_runs(z: GaussianRational, params: OrphanParams) -> tuple[GaussianRa
     alternating product L1 R1 L1 ... of j - 1 factors, whose largest
     entry is the Fibonacci number F(j).  So F(j) <= max(1, 1/Im z): the
     walk ends after at most 2 + log_phi(max(1, 1/Im z)) runs, O(bit
-    size), however long the runs are.  Every point reached is M^-1(z)
-    with entries of M polynomial in the input's parts, so each run costs
-    a few products of O(bit size)-bit integers.
+    size), however long the runs are.
 
-    The answer is verified by replaying the runs from the root, one
-    closed form per run; a mismatch raises InternalInvariantError.
+    The answer is certified in arithmetic the climb does not share: the
+    root (X' + iY')/Q' passes the orphan test 0 < X' <= vQ' and
+    (2uX' - Q')^2 + (2uY')^2 >= Q'^2, every run after the first is >= 1,
+    and z = M(root) for M multiplied forward from the runs, checked by
+    cross-multiplying Gaussian integers.  As each point has one parent,
+    the walk from such a z takes exactly these runs to this root, so a
+    run cut short fails it too, with InternalInvariantError.
     """
     root, runs, _ = _climb(z, params)
     return _point(*root), runs
 
 
 def _climb(z: GaussianRational, params: OrphanParams):
-    # The climb of ancestor_runs: the root's (X, Y, Q), the runs, and the
-    # (X, Y, Q) at the start of each run, with the runs verified once.
+    # ancestor_runs' climb, certified once: the root's (X, Y, Q), the runs,
+    # and (Re beta, Im beta, Re gamma, Im gamma) at the start of each run.
     _require_d0(z)
     u, v = params.u, params.v
-    x, y, q = start = _parts(z)
+    start = b1, b2, g1 = _parts(z)
+    g2, p = 0, b1 * g1  # p = Re(beta conj(gamma)), kept up to date by both updates
     runs, starts = [], []
     while True:
-        starts.append((x, y, q))
-        k = (x - 1) // (v * q)
-        x -= k * v * q
+        starts.append((b1, b2, g1, g2))
+        n = g1 * g1 + g2 * g2
+        k = (p - 1) // (v * n)
+        b1, b2, p = b1 - k * v * g1, b2 - k * v * g2, p - k * v * n
         runs.append(k)
-        k = (q * x - 1) // (u * (x * x + y * y))
+        m = b1 * b1 + b2 * b2
+        k = (p - 1) // (u * m)
         if not k:
             break
-        starts.append((x, y, q))
+        starts.append((b1, b2, g1, g2))
         runs.append(k)
-        x, y, q = _shift_inverse(x, y, q, -k * u)
+        g1, g2, p = g1 - k * u * b1, g2 - k * u * b2, p - k * u * m
     if not runs[-1]:
         runs.pop()
         starts.pop()
-    runs = tuple(runs)
-    if _apply_runs((x, y, q), _downward(runs), params) != start:
-        raise InternalInvariantError(f"the runs {runs} from {_point(x, y, q)} do not give back {z}")
-    return (x, y, q), runs, starts
+    runs, y = tuple(runs), b2 * g1 - b1 * g2
+    g = math.gcd(p, y, n)
+    root = p // g, y // g, n // g
+    _certify(start, root, runs, params)
+    return root, runs, starts
+
+
+def _certify(start, root, runs: tuple[int, ...], params: OrphanParams) -> None:
+    # ancestor_runs' certificate: raise unless the root is an orphan, every run after
+    # the first is >= 1 and the runs' matrix carries the root to the start.
+    if not _orphan(*root, params) or min(runs[1:], default=1) < 1:
+        raise InternalInvariantError(f"the climb from {_point(*start)} ends at {_point(*root)} by runs {runs}")
+    a, b, c, d = _run_matrix(runs, params)
+    x, y, q = root
+    n1, n2, d1, d2 = a * x + b * q, a * y, c * x + d * q, c * y  # M(root) = (n1 + i*n2)/(d1 + i*d2)
+    x, y, q = start
+    if n1 * q != x * d1 - y * d2 or n2 * q != x * d2 + y * d1:
+        raise InternalInvariantError(f"the runs {runs} from {_point(*root)} do not give back {_point(*start)}")
 
 
 def replay_chain(root: GaussianRational, steps: RunSteps, params: OrphanParams) -> GaussianRational:
     """Walk back down the steps that `ancestor_chain` returns, to z.
 
-    Reads ``steps.runs`` and applies one closed form per run, from the
-    root down: R^k adds k*v to Re z, and L^k adds k*u to 1/z.  No step
-    is built.
+    Reads ``steps.runs`` only: z = M(root) for M = R_v^k0 L_u^k1 ...,
+    multiplied forward from the runs, and M is applied to the root in
+    one Moebius evaluation.  No step is built.
     """
-    return _point(*_apply_runs(_parts(root), _downward(steps.runs), params))
+    a, b, c, d = _run_matrix(steps.runs, params)
+    x, y, q = _parts(root)
+    n1, n2, d1, d2 = a * x + b * q, a * y, c * x + d * q, c * y
+    return _point(n1 * d1 + n2 * d2, n2 * d1 - n1 * d2, d1 * d1 + d2 * d2)
 
 
 def ancestor_chain(z: GaussianRational, params: OrphanParams) -> tuple[GaussianRational, RunSteps]:
@@ -255,42 +269,38 @@ def ancestor_chain(z: GaussianRational, params: OrphanParams) -> tuple[GaussianR
     runs of `ancestor_runs` and steps[i] is the `ChainStep` of the
     (i+1)-th parent reached; ``replay_chain(root, steps, params)``
     restores z exactly.  It reads the climb of `ancestor_runs`, which
-    keeps (X, Y, Q) at the start of each run, with z = (X + iY)/Q, and a
-    step is built only when it is read, in closed form from its run's
-    start: R-step j is (X - j*v*Q)/Q + i*Y/Q, and L-step j is
-    1/(1/z - j*u), whose denominator is a_j^2 + (QY)^2 with
-    a_j = QX - j*u*N, N = X^2 + Y^2.
+    keeps the pair (beta, gamma) at the start of each run, and a step is
+    built only when it is read, in closed form from its run's start.
+    Let P + iC = beta conj(gamma); no update changes C.  R-step j is
+    (beta - j*v*gamma)/gamma = (P - j*v|gamma|^2 + iC)/|gamma|^2, and
+    L-step j is beta/gamma_j = (a_j + iC)/|gamma_j|^2, with
+    gamma_j = gamma - j*u*beta and a_j = P - j*u|beta|^2.
 
-    L-step j raises Im z when a_j^2 < a_(j-1)^2, which a_j >= 1 ensures
-    as a_j < a_(j-1).  Since a_j falls as j grows, a_k >= 1 covers the
-    whole run, so it is checked once per run, at call time, and its
-    failure raises InternalInvariantError.  A step that is built also
-    checks its own gain in Im z.
+    L-step j raises Im z = C/|gamma_j|^2 when |gamma_j|^2 < |gamma_(j-1)|^2.
+    As |beta|^2 |gamma_j|^2 = a_j^2 + C^2, that is when a_j^2 < a_(j-1)^2,
+    which a_j >= 1 ensures as a_j < a_(j-1).  Since a_j falls as j grows,
+    a_k >= 1 covers the whole run, so it is checked once per run, at
+    call time, and its failure raises InternalInvariantError.  A step
+    that is built also checks its own gain in Im z.
     """
     root, runs, starts = _climb(z, params)
     u, v = params.u, params.v
-    im, ims = z.im, []
-    for i, (k, (x, y, q)) in enumerate(zip(runs, starts)):
-        if i % 2:
-            if q * x - k * u * (x * x + y * y) < 1:
-                raise InternalInvariantError(f"left run {i} from {z} is too long to raise Im at every step")
-        elif i:
-            im = Fraction(y, q)  # an R-run after an L-run starts higher
-        ims.append(im)
+    for i in range(1, len(runs), 2):
+        b1, b2, g1, g2 = starts[i]
+        if b1 * g1 + b2 * g2 - runs[i] * u * (b1 * b1 + b2 * b2) < 1:
+            raise InternalInvariantError(f"left run {i} from {z} is too long to raise Im at every step")
 
     def step(i: int, j: int) -> ChainStep:
-        x, y, q = starts[i]
-        im = ims[i]
+        b1, b2, g1, g2 = starts[i]
+        p, c = b1 * g1 + b2 * g2, b2 * g1 - b1 * g2
         if i % 2 == 0:
-            return ChainStep(GaussianRational(Fraction(x - j * v * q, q), im), RIGHT, _ZERO)
-        n, b = x * x + y * y, q * y
-        a = q * x - j * u * n
-        d = a * a + b * b
-        value = GaussianRational(Fraction(n * a, d), Fraction(n * b, d))
-        below = im if j == 1 else Fraction(n * b, (a + u * n) ** 2 + b * b)
-        gain = value.im - below
-        if gain <= 0:
+            n = g1 * g1 + g2 * g2
+            return ChainStep(GaussianRational(Fraction(p - j * v * n, n), Fraction(c, n)), RIGHT, _ZERO)
+        r1, r2 = g1 - j * u * b1, g2 - j * u * b2
+        n, below = r1 * r1 + r2 * r2, (r1 + u * b1) ** 2 + (r2 + u * b2) ** 2
+        if n >= below:
             raise InternalInvariantError(f"left step {j} of run {i} from {z} failed to raise Im")
-        return ChainStep(value, LEFT, gain)
+        value = GaussianRational(Fraction(p - j * u * (b1 * b1 + b2 * b2), n), Fraction(c, n))
+        return ChainStep(value, LEFT, Fraction(c * (below - n), n * below))
 
     return _point(*root), RunSteps(runs, step)

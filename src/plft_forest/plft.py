@@ -187,7 +187,7 @@ def parent_runs(w: Plft) -> tuple[Plft, tuple[int, ...]]:
     """
     a, b, c, d = w.a, w.b, w.c, w.d
     runs = []
-    while not _orphan(a, b, c, d):
+    while (a >= c or b <= d) and (a <= c or b >= d):  # not _orphan(a, b, c, d), inlined
         k = min(a // c, b // d) if c and d else (a // c if c else b // d)
         runs.append(k)
         a, b, c, d = c, d, a - k * c, b - k * d

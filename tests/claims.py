@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from plft_forest import IDENTITY, LEFT, RIGHT, InternalInvariantError, Plft, cf_of_rational
 from plft_forest import orphan_root_cf
-from plft_forest.cf import PlftContinuedFraction, _cf_column, _prefix_extension_pair, _validate_cf, _variant_list
+from plft_forest.cf import PlftContinuedFraction, _cf_column, _validate_cf, _variant_list
 
 
 def evaluate_cf(terms) -> Fraction:
@@ -95,6 +95,24 @@ def limit_checks(w: Plft, cf: PlftContinuedFraction) -> bool:
     return w.a * d_inf == w.c * n_inf and w.b * d_zero == w.d * n_zero
 
 
+def prefix_extension_pair(m: Plft) -> bool:
+    """Does some representation pair make one of a/c, b/d exactly one
+    term longer than the other, which is a full prefix?
+
+    Words ending in L have a/c as the longer side, words ending in R have
+    b/d, so both orientations are tried.  With determinant +1 this is the
+    expansion condition for membership in the monoid of {L1, R1}.
+    Requires c, d nonzero.
+    """
+    for qa in _variant_list(m.a, m.c):
+        for qb in _variant_list(m.b, m.d):
+            if len(qa) == len(qb) + 1 and qa[: len(qb)] == qb:
+                return True
+            if len(qb) == len(qa) + 1 and qb[: len(qa)] == qa:
+                return True
+    return False
+
+
 def rootz_check(w: Plft) -> bool:
     """True when the orphan root of w is z or 1/z.
 
@@ -105,7 +123,7 @@ def rootz_check(w: Plft) -> bool:
         raise ValueError(f"rootz_check needs c, d nonzero and determinant +-1 (determinant is {w.det})")
     root = orphan_root_cf(w).root
     result = root in (IDENTITY, IDENTITY.reciprocal())
-    if _prefix_extension_pair(w) and not result:
+    if prefix_extension_pair(w) and not result:
         raise InternalInvariantError(
             f"{w.coeffs()} satisfies the expansion condition but has root {root.coeffs()}"
         )

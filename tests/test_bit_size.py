@@ -115,9 +115,8 @@ def test_ancestors_of_rational_long_run():
     assert list(ancestors_of_rational(Fraction(RUN + 1, RUN))) == expected
 
 
-@pytest.fixture
-def fractions_built(monkeypatch):
-    """A one-item list that counts the Fractions `cf` builds from now on."""
+def _fractions_built(monkeypatch, module):
+    """A one-item list that counts the Fractions ``module`` builds from now on."""
     built = [0]
 
     class Counting(Fraction):
@@ -125,8 +124,14 @@ def fractions_built(monkeypatch):
             built[0] += 1
             return super().__new__(cls, *args, **kwargs)
 
-    monkeypatch.setattr(cf_module, "Fraction", Counting)
+    monkeypatch.setattr(module, "Fraction", Counting)
     return built
+
+
+@pytest.fixture
+def fractions_built(monkeypatch):
+    """A one-item list that counts the Fractions `cf` builds from now on."""
+    return _fractions_built(monkeypatch, cf_module)
 
 
 def test_ancestors_of_rational_builds_what_is_read(fractions_built):
@@ -222,15 +227,34 @@ def test_ancestor_runs_alternating_single_moves(monkeypatch, u, v):
     ids=["one_long_r_run", "alternating_2_3"],
 )
 def test_ancestor_chain_climbs_once(monkeypatch, z, params):
-    # one translation of 1/z per L-run to climb and one to replay, and no second walk
-    calls = 0
-    shift_inverse = complex_forest._shift_inverse
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return shift_inverse(*args)
-
-    monkeypatch.setattr(complex_forest, "_shift_inverse", counting)
+    # one climb and one matrix of the runs, for its certificate: no second walk
+    calls = {"_climb": 0, "_run_matrix": 0}
+    for name in calls:
+        monkeypatch.setattr(complex_forest, name, _counting(calls, name, getattr(complex_forest, name)))
     _, steps = ancestor_chain(z, params)
-    assert calls <= 2 * len(steps.runs[1::2])
+    assert steps.runs and calls == {"_climb": 1, "_run_matrix": 1}
+
+
+def _counting(calls, name, fn):
+    def counting(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return counting
+
+
+@pytest.mark.parametrize(
+    "z, params, runs",
+    [
+        (_gaussian(HUGE + 1, 1), OrphanParams(1, 1), (HUGE,)),
+        (_l_run_child(_gaussian(1, 1), HUGE, 2), OrphanParams(2, 3), (0, HUGE)),
+    ],
+    ids=["r_run", "l_run"],
+)
+def test_ancestor_chain_and_replay_take_a_huge_run(monkeypatch, z, params, runs):
+    # one run of 10^18 moves above the orphan 1 + i, climbed, read at both ends and replayed
+    built = _fractions_built(monkeypatch, complex_forest)
+    (root, steps, back), peak = _peak_bytes(_chain_and_replay, z, params)
+    assert root == _gaussian(1, 1) and steps.runs == runs and back == z
+    assert steps[0].move == steps[-1].move and steps[-1].value == root
+    assert built[0] <= MOST_BUILT and peak <= MOST_BYTES

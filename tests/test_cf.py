@@ -2,10 +2,18 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from claims import cf_variants, evaluate_cf, is_descendant_by_splice, limit_checks, lr_on_cf, rootz_check
+from claims import (
+    cf_variants,
+    evaluate_cf,
+    is_descendant_by_splice,
+    limit_checks,
+    lr_on_cf,
+    prefix_extension_pair,
+    rootz_check,
+)
 from helpers import (
     ancestors_by_unary_walk,
     check_reads_as,
@@ -25,6 +33,7 @@ from plft_forest import (
     IDENTITY,
     LEFT,
     RIGHT,
+    InternalInvariantError,
     Plft,
     ancestors_of_rational,
     apply_word,
@@ -254,6 +263,27 @@ def test_decompose_special_matches_unary_walk(m):
 def test_decompose_inverts_apply_word(word):
     m = apply_word(IDENTITY, word_of_letters(word))
     assert decompose_special(m) == word
+
+
+def test_decompose_special_checks_its_root_against_the_determinant(monkeypatch):
+    # a member whose walk is made to end at an orphan of determinant 3
+    monkeypatch.setattr(cf_module, "parent_runs", lambda m: (Plft(2, 1, 1, 2), (1,)))
+    with pytest.raises(InternalInvariantError, match="against its determinant 1"):
+        decompose_special(Plft(43, 10, 30, 7))
+    # a determinant -3 matrix whose walk is made to end at the identity
+    monkeypatch.setattr(cf_module, "parent_runs", lambda m: (IDENTITY, (1,)))
+    with pytest.raises(InternalInvariantError, match="against its determinant -3"):
+        decompose_special(Plft(1, 2, 2, 1))
+
+
+@given(words(max_size=30), st.booleans())
+def test_expansion_condition_matches_monoid_membership(word, flip):
+    # the expansion condition, the cross-check decompose_special once made on
+    # determinant +-1, against the walk; the reciprocal has determinant -1
+    m = apply_word(IDENTITY, word_of_letters(word))
+    m = m.reciprocal() if flip else m
+    assume(m.c and m.d)
+    assert (prefix_extension_pair(m) and m.det == 1) == (decompose_special(m) is not None)
 
 
 def test_rootz_check_examples():

@@ -229,9 +229,39 @@ def test_runs_match_unary_walk_on_floor_boundaries(u, v):
 
 
 def test_ancestor_runs_checks_its_replay(monkeypatch):
-    monkeypatch.setattr(complex_forest, "_apply_runs", lambda parts, runs, p: (1, 1, 1))
-    with pytest.raises(InternalInvariantError):
-        ancestor_runs(gr(Fraction(5, 2), 1), P11)
+    # 5/2 + i has runs (2,) above the orphan 1/2 + i
+    z = gr(Fraction(5, 2), 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(complex_forest, "_run_matrix", lambda runs, p: (1, 1, 0, 1))
+        with pytest.raises(InternalInvariantError, match="do not give back"):
+            ancestor_runs(z, P11)
+    # a planted root that its runs carry back to z, but that is not an orphan
+    parts = complex_forest._parts
+    with pytest.raises(InternalInvariantError, match="ends at"):
+        complex_forest._certify(parts(z), parts(gr(Fraction(3, 2), 1)), (1,), P11)
+    # the orphan root, with runs that carry it back to z but are not the walk's
+    with pytest.raises(InternalInvariantError, match="ends at"):
+        complex_forest._certify(parts(z), parts(gr(Fraction(1, 2), 1)), (1, 0, 1), P11)
+    complex_forest._certify(parts(z), parts(gr(Fraction(1, 2), 1)), (2,), P11)
+
+
+@st.composite
+def rooted_runs(draw):
+    """A point, parameters and runs in parent_runs' form, short enough to walk a move at a time."""
+    z = GaussianRational(draw(components), draw(components))
+    runs = draw(st.lists(st.integers(1, 6), max_size=6))
+    return z, draw(params), (draw(st.integers(0, 6)), *runs)
+
+
+@given(rooted_runs())
+@settings(max_examples=200, deadline=None)
+def test_replay_chain_matches_the_per_step_oracle(case):
+    root, p, runs = case
+    z = root
+    for i in reversed(range(len(runs))):
+        for _ in range(runs[i]):
+            z = apply_complex_move(z, LEFT if i % 2 else RIGHT, p)
+    assert replay_chain(root, word_of_runs(runs), p) == z
 
 
 def test_ancestor_chain_checks_its_left_runs_at_call_time(monkeypatch):
