@@ -64,14 +64,16 @@ That is exact: tau(n) <= 2*sqrt(n) < 2^32 for n < 2^62, far beyond any
 table that fits in memory, and an array raises OverflowError on a
 value that does not fit rather than wrap it.
 
-Three module caches serve the census rows, which ask for one D after
-another: the sieve's tau for nu2, and the direct and the count pass
-for h_direct and count_orphans.  A request beyond a cache rebuilds it
-to at least twice its length and swaps the new table in whole, so rows
-1..N cost O(log N) builds, and census_rows(N) sizes both pass caches to
-N in one pass each.  A row evaluates each route once: its nu2 is
-h_closed - 2*sigma + tau, not a second convolution.  The summatory
-function sieves to its own top and keeps nothing.
+One module cache serves the census rows, which ask for one D after
+another: `_tables` maps each builder (the sieve's tau for nu2, and the
+direct and the count pass for h_direct and count_orphans) to its latest
+table.  A request beyond a table rebuilds it to at least twice its
+length and swaps the new table in whole, so rows 1..N cost O(log N)
+builds, and census_rows(N) sizes both pass tables to N in one pass
+each.  A row runs each trial division and each route once, and checks
+their agreement itself; a CensusRow only holds the seven numbers, so
+building or unpickling one reads no table.  The summatory function
+sieves to its own top and keeps nothing.
 """
 
 from __future__ import annotations
@@ -131,31 +133,23 @@ def _sieve(n: int) -> array:
     return tau
 
 
-# Each cache is swapped in as a whole object (one reference assignment),
+# Each table is swapped in as a whole object (one reference assignment),
 # so a reader never sees a table half built.
-_tau_cache = array("I", [0])
-_direct_cache = [0]
-_count_cache = [0]
+_tables = {}
 
 
-def _grown(name: str, build, n: int):
-    """The module cache `name` if it reaches index n, else build(max(n, 2*len)) swapped in.
+def _table(build, n: int):
+    """build's table from the module cache if it reaches index n, else build(max(n, 2*len)) swapped in.
 
     For nu2 and the census rows, which ask for one D after another: a
-    rebuild at least doubles the cache, so asking for n = 1, 2, 3, ... in
+    rebuild at least doubles the table, so asking for n = 1, 2, 3, ... in
     turn builds to 2, 6, 14, 30, ..., and rows 1..200 cost 7 builds, the
     last one to 254.
     """
-    cache = globals()[name]
-    if len(cache) <= n:
-        cache = build(max(n, 2 * len(cache)))
-        globals()[name] = cache
-    return cache
-
-
-def _tau_table(n: int) -> array:
-    """tau[0..n] (index 0 unused), or a longer table, from the module cache."""
-    return _grown("_tau_cache", _sieve, n)
+    table = _tables.get(build, (0,))
+    if len(table) <= n:
+        table = _tables[build] = build(max(n, 2 * len(table)))
+    return table
 
 
 def _check_positive(d: int) -> int:
@@ -203,13 +197,18 @@ def nu2(d: int) -> int:
     m1*s1 + m2*s2 = d, via the divisor-convolution identity in the
     module docstring.
     """
-    _check_positive(d)
-    tau = _tau_table(d)
+    _table(_sieve, _check_positive(d))  # refuses a size past any table before trial division
+    return _nu2(d, divisor_sigma(d))
+
+
+def _nu2(d: int, sigma: int) -> int:
+    # nu2(d) from the cached sieve, given sigma(d)
+    tau = _table(_sieve, d)
     half = d // 2
     conv = 2 * sum(map(mul, tau[1:d - half], tau[d - 1:half:-1]))  # A < D/2 against D - A
     if d % 2 == 0:
         conv += tau[half] ** 2  # A = B = D/2
-    paired = conv + tau[d] - divisor_sigma(d)
+    paired = conv + tau[d] - sigma
     if paired % 2:
         raise InternalInvariantError(f"odd distinct-size pair count {paired} at D={d}")
     return paired // 2
@@ -224,7 +223,9 @@ def h_closed(d: int) -> int:
     if d == 0:
         raise ValueError("determinant zero does not occur")
     d = abs(d)
-    return nu2(d) + 2 * divisor_sigma(d) - divisor_tau(d)
+    _table(_sieve, d)  # as in nu2
+    sigma = divisor_sigma(d)
+    return _nu2(d, sigma) + 2 * sigma - divisor_tau(d)
 
 
 def _direct_pass(n: int) -> list[int]:
@@ -250,11 +251,6 @@ def _direct_pass(n: int) -> list[int]:
     return total
 
 
-def _direct_table(n: int) -> list[int]:
-    """h(D) for every D <= n (index 0 unused), or for more D, from the module cache."""
-    return _grown("_direct_cache", _direct_pass, n)
-
-
 def h_direct(d: int) -> int:
     """Orphan count read from the definition: entry d of the cached direct pass.
 
@@ -262,7 +258,7 @@ def h_direct(d: int) -> int:
     shares no loop or table with `count_orphans`.
     """
     _check_positive(d)
-    return _direct_table(d)[d]
+    return _table(_direct_pass, d)[d]
 
 
 def _count_pass(n: int) -> list[int]:
@@ -288,15 +284,10 @@ def _count_pass(n: int) -> list[int]:
     return counts
 
 
-def _count_table(n: int) -> list[int]:
-    """h(D) for every D <= n (index 0 unused), or for more D, from the module cache."""
-    return _grown("_count_cache", _count_pass, n)
-
-
 def count_orphans(d: int) -> int:
     """Number of orphans with determinant d: entry d of the cached `_count_pass`."""
     _check_positive(d)
-    return _count_table(d)[d]
+    return _table(_count_pass, d)[d]
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +295,7 @@ def count_orphans(d: int) -> int:
 # ---------------------------------------------------------------------------
 
 class CensusRow(Value):
-    """One determinant's census, with all three routes recorded."""
+    """One determinant's census, with all three routes recorded; `census_row` computes and checks it."""
 
     __slots__ = ("D", "nu2", "sigma", "tau", "h_closed", "h_direct", "orphan_count")
 
@@ -320,46 +311,33 @@ class CensusRow(Value):
         object.__setattr__(self, "orphan_count", orphan_count)
         self.__post_init__()
 
-    def __post_init__(self) -> None:
-        # nu2 reads tau from the sieve, the closed formula from trial
-        # division; the two must agree at D.  sigma has no second source:
-        # a wrong sigma moves h_closed by 3/2 of the error (nu2 takes half
-        # of it away, the formula adds twice it), which the route check
-        # below catches.
-        sieved = _tau_table(self.D)[self.D]
-        if sieved != self.tau:
-            raise InternalInvariantError(
-                f"sieve and trial division disagree at D={self.D}: tau {sieved} / {self.tau}"
-            )
-        if not (self.h_closed == self.h_direct == self.orphan_count):
-            raise InternalInvariantError(
-                f"route disagreement at D={self.D}: "
-                f"{self.h_closed} / {self.h_direct} / {self.orphan_count}"
-            )
-
 
 def census_row(d: int) -> CensusRow:
-    """Compute one row by all three routes; raises if they disagree."""
-    _check_positive(d)
-    sigma = divisor_sigma(d)
-    tau = divisor_tau(d)
-    closed = h_closed(d)
-    return CensusRow(
-        D=d,
-        nu2=closed - 2 * sigma + tau,
-        sigma=sigma,
-        tau=tau,
-        h_closed=closed,
-        h_direct=h_direct(d),
-        orphan_count=count_orphans(d),
-    )
+    """Compute one row by all three routes; raises InternalInvariantError if they disagree.
+
+    sigma(D) and tau(D) come from trial division, once each.  nu2 reads
+    tau from the sieve, so the sieve's tau(D) must equal the trial
+    division's.  sigma has no second source: a wrong sigma moves h_closed
+    by 3/2 of the error (nu2 takes half of it away, the formula adds twice
+    it), which the route check catches.
+    """
+    sieved = _table(_sieve, _check_positive(d))[d]  # as in nu2
+    sigma, tau = divisor_sigma(d), divisor_tau(d)
+    if sieved != tau:
+        raise InternalInvariantError(f"sieve and trial division disagree at D={d}: tau {sieved} / {tau}")
+    nu2 = _nu2(d, sigma)
+    closed = nu2 + 2 * sigma - tau
+    direct, count = h_direct(d), count_orphans(d)
+    if not closed == direct == count:
+        raise InternalInvariantError(f"route disagreement at D={d}: {closed} / {direct} / {count}")
+    return CensusRow(D=d, nu2=nu2, sigma=sigma, tau=tau, h_closed=closed, h_direct=direct, orphan_count=count)
 
 
 def census_rows(dmax: int) -> list[CensusRow]:
     """Rows 1..dmax, with the direct and the class counts of all of them from one pass each."""
     _check_positive(dmax)
-    _direct_table(dmax)
-    _count_table(dmax)
+    _table(_direct_pass, dmax)
+    _table(_count_pass, dmax)
     return [census_row(d) for d in range(1, dmax + 1)]
 
 

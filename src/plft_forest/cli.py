@@ -5,7 +5,7 @@ lives here.  Each command imports the library modules it uses when it
 runs, so a process loads only those (``census``, ``series`` and ``aux``
 never load the tree modules), and an input that argparse rejects loads
 none.  Exit statuses: 0 success, 2 input error (an input too large for
-memory included), 3 internal invariant failure.
+memory or for an index included), 3 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -191,6 +191,9 @@ def main(argv=None) -> int:
         return 2
     except MemoryError:
         print("error: not enough memory for this input", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # a size past sys.maxsize, such as a run of moves spelled out
+        print(f"error: input too large: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -4,8 +4,6 @@ Run with ``python -m pytest tests/bench_census.py``.  The tier-1 run does
 not collect this file: its name does not start with ``test_``.
 """
 
-from array import array
-
 import pytest
 
 from plft_forest import census
@@ -13,14 +11,8 @@ from plft_forest import census
 
 @pytest.fixture
 def cold_caches(monkeypatch):
-    """A function that empties the three module caches; monkeypatch puts the old ones back after the test."""
-
-    def empty():
-        monkeypatch.setattr(census, "_tau_cache", array("I", [0]))
-        monkeypatch.setattr(census, "_direct_cache", [0])
-        monkeypatch.setattr(census, "_count_cache", [0])
-
-    return empty
+    """A function that empties the module's table cache; monkeypatch puts the old one back after the test."""
+    return lambda: monkeypatch.setattr(census, "_tables", {})
 
 
 def test_census_rows_1_to_200_one_at_a_time_from_cold(benchmark, cold_caches):
@@ -34,6 +26,12 @@ def test_census_row_1_to_200_warm(benchmark):
     census.census_rows(200)
     rows = benchmark(lambda: [census.census_row(d) for d in range(1, 201)])
     assert rows[14].h_closed == 88
+
+
+def test_census_row_100_warm(benchmark):
+    # one row from built tables: two trial divisions, one convolution and two table reads
+    census.census_rows(200)
+    assert benchmark(census.census_row, 100).h_closed == 1560
 
 
 def test_nu2_200(benchmark):

@@ -93,24 +93,46 @@ def test_nu2_equals_the_full_convolution_to_600():
 
 
 def _cold_caches(monkeypatch):
-    """Empty the three module caches for one test; monkeypatch puts the old ones back after it."""
-    monkeypatch.setattr(census_module, "_tau_cache", array("I", [0]))
-    monkeypatch.setattr(census_module, "_direct_cache", [0])
-    monkeypatch.setattr(census_module, "_count_cache", [0])
+    """Empty the module's table cache for one test; monkeypatch puts the old one back after it."""
+    monkeypatch.setattr(census_module, "_tables", {})
 
 
 def test_sieve_grows_geometrically(monkeypatch):
     # Asking for D = 1, 2, 3, ... in turn must not rebuild the sieve for
-    # every new D; each rebuild swaps in a new cache object.
+    # every new D; each rebuild swaps in a new table object.
     _cold_caches(monkeypatch)
     builds = 0
-    cache = census_module._tau_cache
+    tables = census_module._tables
+    table = None
     for d in range(1, 1001):
         nu2(d)
-        if census_module._tau_cache is not cache:
+        if tables[census_module._sieve] is not table:
             builds += 1
-            cache = census_module._tau_cache
+            table = tables[census_module._sieve]
     assert builds <= 12
+
+
+def test_nu2_catches_an_odd_sieve_error(monkeypatch):
+    # tau(D/2) enters the convolution squared, once; the pairs A < D/2 enter twice
+    tau = census_module._sieve(12)
+    tau[6] += 1
+    monkeypatch.setattr(census_module, "_tables", {census_module._sieve: tau})
+    with pytest.raises(InternalInvariantError, match="odd distinct-size pair count .* at D=12"):
+        nu2(12)
+
+
+def test_summatory_catches_an_odd_sieve_error(monkeypatch):
+    # tau(x) enters the sum of tau once and the convolution not at all
+    original = census_module._sieve
+
+    def wrong(n):
+        tau = original(n)
+        tau[n] += 1
+        return tau
+
+    monkeypatch.setattr(census_module, "_sieve", wrong)
+    with pytest.raises(InternalInvariantError, match="odd distinct-size pair count .* summed to x=12"):
+        summatory_h(12)
 
 
 def test_sieve_equals_divisor_multiples():
@@ -145,12 +167,12 @@ def test_summatory_pins_no_sieve():
     # cache or elsewhere, once it returns.
     code = (
         "import tracemalloc; from plft_forest import census; tracemalloc.start(); "
-        "before = len(census._tau_cache); census.summatory_h(10**5); "
-        "print(tracemalloc.get_traced_memory()[0], len(census._tau_cache) - before)"
+        "census.summatory_h(10**5); "
+        "print(tracemalloc.get_traced_memory()[0], len(census._tables))"
     )
-    held, grown = map(int, _run_fresh(code).split())
+    held, tables = map(int, _run_fresh(code).split())
     assert held < 64 * 1024
-    assert grown == 0
+    assert tables == 0
 
 
 def test_h_closed_table_values():
@@ -221,6 +243,13 @@ def test_passes_refuse_a_size_past_indexing(build):
     assert peak < 64 * 1024
 
 
+@pytest.mark.parametrize("route", ["nu2", "h_closed", "census_row"])
+def test_routes_refuse_a_size_past_indexing_before_trial_division(route):
+    # trial division to sqrt(sys.maxsize) would take about 3*10^9 steps
+    with pytest.raises(ValueError, match="too large for a table"):
+        getattr(census_module, route)(sys.maxsize)
+
+
 def test_census_row_builds_no_plft(monkeypatch):
     for d in range(1, 61):
         row, built = constructions(monkeypatch, census_row, d)
@@ -238,14 +267,17 @@ def test_route_memory_at_300(route, bound_kib):
     assert int(_run_fresh(code)) < bound_kib * 1024
 
 
-def test_census_row_evaluates_nu2_once(monkeypatch):
-    # the row's nu2 field comes out of h_closed, which is the one caller
+def test_census_row_evaluates_each_route_once(monkeypatch):
+    # one trial division for sigma, one for tau, one convolution and one
+    # read of each pass table per row; h_closed is taken from nu2, sigma and tau
+    names = ("divisor_sigma", "divisor_tau", "_nu2", "h_direct", "count_orphans")
     calls = []
-    original = census_module.nu2
-    monkeypatch.setattr(census_module, "nu2", lambda d: calls.append(d) or original(d))
+    for name in names:
+        original = getattr(census_module, name)
+        monkeypatch.setattr(census_module, name, lambda *args, name=name, f=original: calls.append(name) or f(*args))
     for d in (1, 2, 12, 101):
         census_row(d)
-        assert calls == [d]
+        assert sorted(calls) == sorted(names), f"D={d}"
         calls.clear()
 
 
@@ -266,7 +298,7 @@ def test_census_row_catches_a_wrong_sieve_entry(monkeypatch, below, message):
     d = 12
     tau = census_module._sieve(d)
     tau[d - below] += 2  # even, so nu2's parity check passes
-    monkeypatch.setattr(census_module, "_tau_cache", tau)
+    monkeypatch.setattr(census_module, "_tables", {census_module._sieve: tau})
     with pytest.raises(InternalInvariantError, match=message):
         census_row(d)
 
@@ -287,12 +319,14 @@ def test_census_row_catches_a_wrong_trial_division(monkeypatch, name, message):
 
 
 @pytest.mark.parametrize(
-    "name, wrong",
+    "route, wrong",
     [("h_closed", lambda h: h + 1), ("h_direct", lambda h: h - 1), ("count_orphans", lambda h: h - 1)],
 )
-def test_census_row_catches_a_wrong_count(monkeypatch, name, wrong):
+def test_census_row_catches_a_wrong_count(monkeypatch, route, wrong):
+    # the row's h_closed is nu2 + 2*sigma - tau, so its fault is planted in nu2
+    name = "_nu2" if route == "h_closed" else route
     original = getattr(census_module, name)
-    monkeypatch.setattr(census_module, name, lambda d: wrong(original(d)))
+    monkeypatch.setattr(census_module, name, lambda *args: wrong(original(*args)))
     with pytest.raises(InternalInvariantError, match="route disagreement"):
         census_row(12)
 
@@ -315,20 +349,21 @@ def test_census_rows_runs_the_direct_pass_once(monkeypatch):
 
 
 def test_census_row_rebuilds_each_cache_at_doubling_sizes(monkeypatch):
-    # rows 1..200 one at a time from cold caches: a rebuild past size n
+    # rows 1..200 one at a time from cold tables: a rebuild past size n
     # (n + 1 entries) goes to size 2*(n + 1), and only row 2*n + 3 needs one
     _cold_caches(monkeypatch)
-    names = ("_tau_cache", "_direct_cache", "_count_cache")
-    sizes = {name: [] for name in names}
-    caches = {name: getattr(census_module, name) for name in names}
+    builds = (census_module._sieve, census_module._direct_pass, census_module._count_pass)
+    sizes = {build: [] for build in builds}
+    tables = census_module._tables
+    seen = {}
     for d in range(1, 201):
         census_row(d)
-        for name in names:
-            cache = getattr(census_module, name)
-            if cache is not caches[name]:
-                sizes[name].append(len(cache) - 1)
-                caches[name] = cache
-    assert sizes == {name: [2, 6, 14, 30, 62, 126, 254] for name in names}
+        for build in builds:
+            if tables[build] is not seen.get(build):
+                sizes[build].append(len(tables[build]) - 1)
+                seen[build] = tables[build]
+    assert tables.keys() == set(builds)
+    assert sizes == {build: [2, 6, 14, 30, 62, 126, 254] for build in builds}
 
 
 def test_census_row_runs_the_direct_pass_a_few_times(monkeypatch):
@@ -389,6 +424,10 @@ def test_ratio_series_point_at_15():
     assert point.summatory == 591
     assert point.reference == pytest.approx(0.25 * 225 * math.log(15) ** 2)
     assert point.ratio == pytest.approx(1.4327, abs=5e-4)
+
+
+def test_ratio_series_of_no_points():
+    assert ratio_series([]) == []
 
 
 def test_ratio_series_converges_toward_one():

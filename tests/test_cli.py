@@ -2,6 +2,7 @@ import contextlib
 import io
 import sys
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import REPO, run_python
 from plft_forest import census_rows
-from plft_forest.cli import main
+from plft_forest.cli import build_parser, main
 
 HVALS = [1, 4, 7, 13, 15, 26, 25, 39, 40, 54, 49, 79, 63, 88, 88]
 
@@ -146,6 +147,36 @@ def test_sizes_past_memory_exit_2(capsys, argv):
     # just under sys.maxsize the table allocation fails at once, without allocating
     code, out, err = run(capsys, *argv, str(sys.maxsize - 1))
     assert (code, out, err) == (2, "", "error: not enough memory for this input\n")
+
+
+INDEX = "cannot fit 'int' into an index-sized integer"
+SSIZE = "Python int too large to convert to C ssize_t"
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (("root", f"{10**20},1,1,0"), INDEX),
+        (("decompose", f"{10**20 + 1},{10**20},1,1"), INDEX),
+        (("cchain", f"{10**20}+1*i"), INDEX),
+        (("cchain", f"{10**20}+1*i", "--format", "csv"), SSIZE),
+        (("descend", str(10**20 + 2)), SSIZE),
+    ],
+)
+def test_runs_past_sys_maxsize_exit_2(capsys, argv, reason):
+    # a walk with a run of about 10^20 moves cannot be spelled a move at a
+    # time; the command refuses before it allocates any of the moves
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: input too large: {reason}\n")
+    args = build_parser().parse_args(argv)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OverflowError):
+            args.handler(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_unwritable_out_exits_2(capsys, tmp_path):

@@ -264,15 +264,12 @@ def test_replay_chain_matches_the_per_step_oracle(case):
     assert replay_chain(root, word_of_runs(runs), p) == z
 
 
-def test_ancestor_chain_checks_its_left_runs_at_call_time(monkeypatch):
-    # 1/4 + i/4 has runs (0, 1); a third L-step would bring Im back down
+def test_certify_refuses_a_left_run_too_long():
+    # 1/4 + i/4 has runs (0, 1); a third L-step would bring Im back down,
+    # and the certificate refuses the true root with runs (0, 3)
     z = gr(Fraction(1, 4), Fraction(1, 4))
-    climb = complex_forest._climb
-
-    def longer_left_run(z, p):
-        root, _, starts = climb(z, p)
-        return root, (0, 3), starts
-
-    monkeypatch.setattr(complex_forest, "_climb", longer_left_run)
-    with pytest.raises(InternalInvariantError):
-        ancestor_chain(z, P11)
+    parts = complex_forest._parts
+    root, runs = ancestor_runs(z, P11)
+    assert runs == (0, 1)
+    with pytest.raises(InternalInvariantError, match="do not give back"):
+        complex_forest._certify(parts(z), parts(root), (0, 3), P11)

@@ -2,12 +2,13 @@
 
 import copy
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from helpers import constructions
-from plft_forest import GaussianRational, OrphanParams, Plft, census_row
+from plft_forest import GaussianRational, OrphanParams, Plft, census, census_row
 from plft_forest.census import CensusRow, SeriesPoint
 from plft_forest.cf import PlftContinuedFraction, RootReport
 from plft_forest.complex_forest import ChainStep
@@ -81,6 +82,24 @@ def test_keyword_constructions_of_the_call_sites():
     report = RootReport(root=ORPHAN, cf=PlftContinuedFraction((), ORPHAN))
     assert report.reciprocal_applied is False
     assert report == RootReport(ORPHAN, PlftContinuedFraction((), ORPHAN), False)
+
+
+def test_census_rows_build_and_unpickle_from_cold_tables(monkeypatch):
+    # a CensusRow holds seven numbers: building one, consistent or not,
+    # and unpickling one read no table and build none
+    data = pickle.dumps(census_row(12))
+    monkeypatch.setattr(census, "_tables", {})
+    tracemalloc.start()
+    try:
+        wrong = CensusRow(D=10**6, nu2=0, sigma=1, tau=2, h_closed=3, h_direct=4, orphan_count=5)
+        row = pickle.loads(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert census._tables == {}
+    assert peak < 64 * 1024
+    assert (wrong.D, wrong.orphan_count) == (10**6, 5)
+    assert row == census_row(12)
 
 
 def test_classes_with_equal_fields_differ():
