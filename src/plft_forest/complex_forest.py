@@ -8,23 +8,26 @@ inside D0 is a (u, v)-orphan.  The orphan region is exactly
 
     Re(z) <= v   and   |2*u*z - 1| >= 1,
 
-the quadrant minus a translation strip and an open disk.  Every
-membership test here works on squared moduli in exact integer
-arithmetic, so the circle boundary lands with the orphans and no square
-roots are ever taken.
+the quadrant minus a translation strip and an open disk.
+
+A point is one integer triple, (x, y, q) in lowest terms with
+z = (x + iy)/q and q > 0.  Every test works on its squared moduli in
+exact integer arithmetic, so the circle boundary lands with the orphans;
+Fractions appear only in the public constructor, `re`, `im` and `parse`.
 
 Walking upward goes a whole run of identical moves at a time
 (`ancestor_runs`), on a projective pair of Gaussian integers,
-z = beta/gamma.  An R-run subtracts a multiple of v*gamma from beta, and
-an L-run, since the disk |2uz - 1| < 1 is the half-plane Re(1/z) > u,
-subtracts a multiple of u*beta from gamma.  Each run is maximal, so the
-runs alternate, as Euclid's quotients do, and each L-run strictly raises
-the imaginary part.  That bounds the number of runs by
-2 + log_phi(max(1, 1/Im z)), so every walk ends after O(bit size) runs,
-however long they are; (beta, gamma) = M^-1(X + iY, Q) for
-z = (X + iY)/Q and the runs' matrix M, of determinant 1, so the pair
-stays O(bit size) too.  The answer is certified apart from the climb:
-M must carry the root, an orphan, back to z in one Moebius evaluation.
+z = beta/gamma, from beta = x + iy and gamma = q.  An R-run subtracts a
+multiple of v*gamma from beta, and an L-run, since the disk
+|2uz - 1| < 1 is the half-plane Re(1/z) > u, subtracts a multiple of
+u*beta from gamma.  Each run is maximal, so the runs alternate, as
+Euclid's quotients do, and each L-run strictly raises the imaginary
+part.  That bounds the number of runs by 2 + log_phi(max(1, 1/Im z)), so
+every walk ends after O(bit size) runs, however long they are;
+(beta, gamma) = M^-1(x + iy, q) for the runs' matrix M, of determinant
+1, so the pair stays O(bit size) too.  The answer is certified apart
+from the climb: M must carry the root, an orphan, back to z in one
+Moebius evaluation.
 """
 
 from __future__ import annotations
@@ -43,23 +46,37 @@ _ZERO = Fraction(0)
 
 
 class GaussianRational(Value):
-    """Exact complex number with rational real and imaginary parts."""
+    """Exact complex number z = (x + iy)/q, stored with gcd(x, y, q) = 1 and q > 0.
 
-    __slots__ = ("re", "im")
+    x and y are exact rationals (int, Fraction or 'p/q' string), so
+    GaussianRational(re, im) is re + i*im, and q is a nonzero int.  From
+    ints, the library's own path, no Fraction is built.
+    """
 
-    def __init__(self, re: Fraction, im: Fraction) -> None:
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
+    __slots__ = ("x", "y", "q")
+
+    def __init__(self, x: int | Fraction, y: int | Fraction, q: int = 1) -> None:
+        if q.__class__ is not int or not q:
+            raise ValueError(f"q must be a nonzero int, got {q!r}")
+        if x.__class__ is not int or y.__class__ is not int:
+            for name, part in (("x", x), ("y", y)):
+                if isinstance(part, float):
+                    raise ValueError(f"{name} must be exact (int, Fraction, or 'p/q' string), got float {part!r}")
+            a, b = (part if isinstance(part, (int, Fraction)) else Fraction(part) for part in (x, y))
+            x, y, q = a.numerator * b.denominator, b.numerator * a.denominator, q * a.denominator * b.denominator
+        g = math.gcd(x, y, q) if q > 0 else -math.gcd(x, y, q)
+        object.__setattr__(self, "x", x // g)
+        object.__setattr__(self, "y", y // g)
+        object.__setattr__(self, "q", q // g)
         self.__post_init__()
 
-    def __post_init__(self) -> None:
-        for name in ("re", "im"):
-            value = getattr(self, name)
-            if isinstance(value, float):
-                raise ValueError(
-                    f"{name} must be exact (int, Fraction, or 'p/q' string), got float {value!r}"
-                )
-            object.__setattr__(self, name, Fraction(value))
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.x, self.q)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.y, self.q)
 
     @classmethod
     def parse(cls, text: str) -> "GaussianRational":
@@ -73,7 +90,7 @@ class GaussianRational(Value):
             raise ValueError(f"zero denominator in {text!r}") from None
 
     def __str__(self) -> str:
-        sign = "+" if self.im >= 0 else ""
+        sign = "+" if self.y >= 0 else ""
         return f"{self.re}{sign}{self.im}*i"
 
 
@@ -99,7 +116,8 @@ class ChainStep(Value):
 
     ``move`` is the child relation (the parent's L- or R-child is the
     previous chain value); ``im_increase`` is the exact gain in
-    imaginary part, zero for R steps and strictly positive for L steps.
+    imaginary part, zero for R steps and strictly positive for L steps,
+    as the docstring of `ancestor_chain`, its only builder, proves.
     """
 
     __slots__ = ("value", "move", "im_increase")
@@ -110,39 +128,23 @@ class ChainStep(Value):
         object.__setattr__(self, "im_increase", im_increase)
         self.__post_init__()
 
-    def __post_init__(self) -> None:
-        if self.move == RIGHT and self.im_increase != 0:
-            raise ValueError("an R step cannot change the imaginary part")
-        if self.move == LEFT and self.im_increase <= 0:
-            raise ValueError("an L step must strictly raise the imaginary part")
-
 
 def _require_d0(z: GaussianRational) -> None:
     # the strict open first quadrant
-    if not (z.re > 0 and z.im > 0):
+    if not (z.x > 0 and z.y > 0):
         raise ValueError(f"{z} is outside the open first quadrant")
 
 
-def _orphan(x: int, y: int, q: int, params: OrphanParams) -> bool:
-    # (x + iy)/q, q > 0, has 0 < Re <= v and lies off the open disk |2uz - 1| < 1
-    u = params.u
+def _orphan(z: GaussianRational, params: OrphanParams) -> bool:
+    # z = (x + iy)/q, q > 0, has 0 < Re <= v and lies off the open disk |2uz - 1| < 1
+    x, y, q, u = z.x, z.y, z.q, params.u
     return 0 < x <= params.v * q and (2 * u * x - q) ** 2 + (2 * u * y) ** 2 >= q * q
 
 
 def is_complex_orphan(z: GaussianRational, params: OrphanParams) -> bool:
     """Membership in the (u, v)-orphan region, exactly."""
     _require_d0(z)
-    return _orphan(*_parts(z), params)
-
-
-def _parts(z: GaussianRational) -> tuple[int, int, int]:
-    # (X, Y, Q) in lowest terms with z = (X + iY)/Q and Q > 0
-    q = z.re.denominator * z.im.denominator // math.gcd(z.re.denominator, z.im.denominator)
-    return z.re.numerator * (q // z.re.denominator), z.im.numerator * (q // z.im.denominator), q
-
-
-def _point(x: int, y: int, q: int) -> GaussianRational:
-    return GaussianRational(Fraction(x, q), Fraction(y, q))
+    return _orphan(z, params)
 
 
 def _run_matrix(runs: tuple[int, ...], params: OrphanParams) -> tuple[int, int, int, int]:
@@ -166,7 +168,7 @@ def ancestor_runs(z: GaussianRational, params: OrphanParams) -> tuple[GaussianRa
     (), and `plft.word_of_runs(runs)` is the word of the moves.
 
     The point is a projective pair of Gaussian integers, z = beta/gamma,
-    from beta = X + iY and gamma = Q for z = (X + iY)/Q, and both floors
+    from beta = x + iy and gamma = q for z = (x + iy)/q, and both floors
     read P = Re(beta conj(gamma)).  An R-step applies while
     Re z = P/|gamma|^2 > v, so a maximal R-run has length
     k = (P - 1) // (v|gamma|^2) and sets beta to beta - k*v*gamma.  An
@@ -174,43 +176,45 @@ def ancestor_runs(z: GaussianRational, params: OrphanParams) -> tuple[GaussianRa
     half-plane Re(1/z) = P/|beta|^2 > u, and maps 1/z = gamma/beta to
     1/z - u, so a maximal L-run has length k = (P - 1) // (u|beta|^2) and
     sets gamma to gamma - k*u*beta.  No run takes a gcd; the root is
-    reduced once, from beta conj(gamma)/|gamma|^2.
+    reduced once, by its constructor, from beta conj(gamma)/|gamma|^2.
 
     Termination and the run count, run by run.  Each run is maximal, so
     an R-run leaves Re z <= v and an L-run leaves Re(1/z) <= u: the runs
     alternate, every run after the first has k >= 1, and the walk stops
     when both floors are 0, that is at an orphan.  Each L-run strictly
     raises Im z and an R-run keeps it, so every point z' reached has
-    Im z' >= Im z.  After j runs, z = M(z') with
+    Im z' >= Im z.  After j runs, z = M(z') for
     M = R_v^k0 L_u^k1 R_v^k2 ... = [[a, b], [c, d]], of determinant 1
-    and entries >= 0.  From Im z = Im z' / |cz' + d|^2 and
-    Im z' = Im z / |a - cz|^2 follow c <= 1/Im z and, when c > 0,
-    d <= 1/(c Im z); when c = 0, d = 1.  The runs after the first
-    multiply to L_u^k1 R_v^k2 ..., whose bottom row is (c, d) and
-    dominates its top row, and which is entrywise at least the
-    alternating product L1 R1 L1 ... of j - 1 factors, whose largest
-    entry is the Fibonacci number F(j).  So F(j) <= max(1, 1/Im z): the
-    walk ends after at most 2 + log_phi(max(1, 1/Im z)) runs, O(bit
-    size), however long the runs are.
+    and entries >= 0.  Its bottom row starts at (0, 1) and, past R_v^k0,
+    each factor sends it to (c + k*u*d, d) or (c, d + k*v*c), entrywise
+    at least what L1 or R1 gives.  Along L1 R1 L1 ... each factor
+    replaces the smaller entry by the sum: (0, 1), (1, 1), (1, 2), (3, 2).
+    So c >= F(j - 1) and max(c, d) >= F(j), Fibonacci numbers.  From
+    Im z = Im z'/|cz' + d|^2 and Im z' = Im z/|a - cz|^2 follow
+    c <= 1/Im z and, when c > 0, d <= 1/(c Im z); when c = 0, d = 1.  So
+    F(j) <= max(1, 1/Im z): the walk ends after at most
+    2 + log_phi(max(1, 1/Im z)) runs, O(bit size), however long the runs
+    are.  Sharper, as |cz' + d| >= c Im z', c^2 Im z Im z' <= 1, so
+    F(j - 1)^2 Im z Im root <= 1, which alternating runs of 1 meet within
+    a constant factor.
 
     The answer is certified in arithmetic the climb does not share: the
-    root (X' + iY')/Q' passes the orphan test 0 < X' <= vQ' and
-    (2uX' - Q')^2 + (2uY')^2 >= Q'^2, every run after the first is >= 1,
+    root (x' + iy')/q' passes the orphan test 0 < x' <= vq' and
+    (2ux' - q')^2 + (2uy')^2 >= q'^2, every run after the first is >= 1,
     and z = M(root) for M multiplied forward from the runs, checked by
     cross-multiplying Gaussian integers.  As each point has one parent,
     the walk from such a z takes exactly these runs to this root, so a
     run cut short fails it too, with InternalInvariantError.
     """
-    root, runs, _ = _climb(z, params)
-    return _point(*root), runs
+    return _climb(z, params)[:2]
 
 
 def _climb(z: GaussianRational, params: OrphanParams):
-    # ancestor_runs' climb, certified once: the root's (X, Y, Q), the runs,
-    # and (Re beta, Im beta, Re gamma, Im gamma) at the start of each run.
+    # ancestor_runs' climb, certified once: the root, the runs, and
+    # (Re beta, Im beta, Re gamma, Im gamma) at the start of each run.
     _require_d0(z)
     u, v = params.u, params.v
-    start = b1, b2, g1 = _parts(z)
+    b1, b2, g1 = z.x, z.y, z.q
     g2, p = 0, b1 * g1  # p = Re(beta conj(gamma)), kept up to date by both updates
     runs, starts = [], []
     while True:
@@ -229,24 +233,20 @@ def _climb(z: GaussianRational, params: OrphanParams):
     if not runs[-1]:
         runs.pop()
         starts.pop()
-    runs, y = tuple(runs), b2 * g1 - b1 * g2
-    g = math.gcd(p, y, n)
-    root = p // g, y // g, n // g
-    _certify(start, root, runs, params)
+    runs, root = tuple(runs), GaussianRational(p, b2 * g1 - b1 * g2, n)
+    _certify(z, root, runs, params)
     return root, runs, starts
 
 
-def _certify(start, root, runs: tuple[int, ...], params: OrphanParams) -> None:
+def _certify(z: GaussianRational, root: GaussianRational, runs: tuple[int, ...], params: OrphanParams) -> None:
     # ancestor_runs' certificate: raise unless the root is an orphan, every run after
-    # the first is >= 1 and the runs' matrix carries the root to the start.
-    if not _orphan(*root, params) or min(runs[1:], default=1) < 1:
-        raise InternalInvariantError(f"the climb from {_point(*start)} ends at {_point(*root)} by runs {runs}")
-    a, b, c, d = _run_matrix(runs, params)
-    x, y, q = root
-    n1, n2, d1, d2 = a * x + b * q, a * y, c * x + d * q, c * y  # M(root) = (n1 + i*n2)/(d1 + i*d2)
-    x, y, q = start
-    if n1 * q != x * d1 - y * d2 or n2 * q != x * d2 + y * d1:
-        raise InternalInvariantError(f"the runs {runs} from {_point(*root)} do not give back {_point(*start)}")
+    # the first is >= 1 and the runs' matrix carries the root to z.
+    if not _orphan(root, params) or min(runs[1:], default=1) < 1:
+        raise InternalInvariantError(f"the climb from {z} ends at {root} by runs {runs}")
+    a, b, c, d = _run_matrix(runs, params)  # M(root) = (n1 + i*n2)/(d1 + i*d2)
+    n1, n2, d1, d2 = a * root.x + b * root.q, a * root.y, c * root.x + d * root.q, c * root.y
+    if n1 * z.q != z.x * d1 - z.y * d2 or n2 * z.q != z.x * d2 + z.y * d1:
+        raise InternalInvariantError(f"the runs {runs} from {root} do not give back {z}")
 
 
 def replay_chain(root: GaussianRational, steps: RunSteps, params: OrphanParams) -> GaussianRational:
@@ -257,9 +257,8 @@ def replay_chain(root: GaussianRational, steps: RunSteps, params: OrphanParams) 
     one Moebius evaluation.  No step is built.
     """
     a, b, c, d = _run_matrix(steps.runs, params)
-    x, y, q = _parts(root)
-    n1, n2, d1, d2 = a * x + b * q, a * y, c * x + d * q, c * y
-    return _point(n1 * d1 + n2 * d2, n2 * d1 - n1 * d2, d1 * d1 + d2 * d2)
+    n1, n2, d1, d2 = a * root.x + b * root.q, a * root.y, c * root.x + d * root.q, c * root.y
+    return GaussianRational(n1 * d1 + n2 * d2, n2 * d1 - n1 * d2, d1 * d1 + d2 * d2)
 
 
 def ancestor_chain(z: GaussianRational, params: OrphanParams) -> tuple[GaussianRational, RunSteps]:
@@ -291,10 +290,10 @@ def ancestor_chain(z: GaussianRational, params: OrphanParams) -> tuple[GaussianR
         p, c = b1 * g1 + b2 * g2, b2 * g1 - b1 * g2
         if i % 2 == 0:
             n = g1 * g1 + g2 * g2
-            return ChainStep(GaussianRational(Fraction(p - j * v * n, n), Fraction(c, n)), RIGHT, _ZERO)
+            return ChainStep(GaussianRational(p - j * v * n, c, n), RIGHT, _ZERO)
         r1, r2 = g1 - j * u * b1, g2 - j * u * b2
         n, below = r1 * r1 + r2 * r2, (r1 + u * b1) ** 2 + (r2 + u * b2) ** 2
-        value = GaussianRational(Fraction(p - j * u * (b1 * b1 + b2 * b2), n), Fraction(c, n))
+        value = GaussianRational(p - j * u * (b1 * b1 + b2 * b2), c, n)
         return ChainStep(value, LEFT, Fraction(c * (below - n), n * below))
 
-    return _point(*root), RunSteps(runs, step)
+    return root, RunSteps(runs, step)

@@ -1,4 +1,4 @@
-"""Micro-benchmarks of the complex walk and the descendant test, with pytest-benchmark.
+"""Micro-benchmarks of the complex walk, its point value and the descendant test, with pytest-benchmark.
 
 Run with ``python -m pytest tests/bench_complex.py``.  The tier-1 run does
 not collect this file: its name does not start with ``test_``.
@@ -9,7 +9,9 @@ one of 10^18 L-moves above the orphan 1 + i.  ``ancestor_chain`` and
 ``replay_chain`` should cost about as much on the huge runs as on the
 short chain, since their cost follows the bit size.  The descendant
 test takes one yes and one no on the rational that the short chain's
-runs reach below 1/1.
+runs reach below 1/1.  The value layer is timed on the short chain's
+point: a `GaussianRational` from its integer triple, the library's own
+path, one from two Fractions, the public one, and one read of ``.re``.
 """
 
 from fractions import Fraction
@@ -23,6 +25,7 @@ from plft_forest import (
     GaussianRational,
     OrphanParams,
     ancestor_chain,
+    ancestor_runs,
     ancestors_of_rational,
     is_descendant_rational,
     replay_chain,
@@ -68,10 +71,30 @@ def test_ancestor_chain(benchmark, chain):
     assert steps.runs == runs and replay_chain(root, steps, params) == z
 
 
+def test_ancestor_runs(benchmark, chain):
+    z, params, runs = chain
+    assert benchmark(ancestor_runs, z, params)[1] == runs
+
+
 def test_replay_chain(benchmark, chain):
     z, params, runs = chain
     root, steps = ancestor_chain(z, params)
     assert benchmark(replay_chain, root, steps, params) == z
+
+
+POINT = CHAINS["short_runs"][0]
+
+
+def test_gaussian_rational_from_ints(benchmark):
+    assert benchmark(GaussianRational, POINT.x, POINT.y, POINT.q) == POINT
+
+
+def test_gaussian_rational_from_fractions(benchmark):
+    assert benchmark(GaussianRational, POINT.re, POINT.im) == POINT
+
+
+def test_gaussian_rational_re(benchmark):
+    assert benchmark(lambda: POINT.re) == Fraction(POINT.x, POINT.q)
 
 
 def _rational_below(runs):

@@ -444,6 +444,8 @@ def test_harmonic_double_sum_values():
     assert closer < farther
     with pytest.raises(ValueError):
         harmonic_double_sum(1)
+    with pytest.raises(ValueError, match="need x >= 2"):
+        harmonic_double_sum_reference(1)
 
 
 def test_harmonic_double_sum_against_definition():

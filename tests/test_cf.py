@@ -46,7 +46,7 @@ from plft_forest import (
     root_by_iteration,
     word_of_runs,
 )
-from plft_forest.cf import PlftContinuedFraction
+from plft_forest.cf import PlftContinuedFraction, format_rational_cf
 
 
 # -- rational continued fractions --------------------------------------------
@@ -134,6 +134,13 @@ def test_evaluate_plft_cf_examples():
 def test_plft_cf_tail_must_be_orphan():
     with pytest.raises(ValueError):
         PlftContinuedFraction((1,), Plft(1, 0, 1, 1))
+
+
+def test_invalid_quotients_refused():
+    with pytest.raises(ValueError, match="empty continued fraction"):
+        format_rational_cf(())
+    with pytest.raises(ValueError, match="invalid partial quotients"):
+        PlftContinuedFraction((1, 0), Plft(2, 1, 1, 2))
 
 
 @given(plfts())

@@ -116,6 +116,7 @@ def test_gaussian_parse_and_str():
     assert z == gr(Fraction(1, 4), Fraction(1, 4))
     assert str(z) == "1/4+1/4*i"
     assert str(GaussianRational.parse("2-3/7*i")) == "2-3/7*i"
+    assert str(GaussianRational.parse("-1/2+0*i")) == "-1/2+0*i"
     assert GaussianRational.parse(str(gr(Fraction(10, 4), 1))) == gr(Fraction(5, 2), 1)
     for bad in ("1", "i", "23*i", "1+2", "1 + i", "1/0+1*i", "1+2/0*i"):
         with pytest.raises(ValueError):
@@ -183,12 +184,27 @@ def _agrees_with_unary_walk(z, p):
     assert root == want_root
     assert word_of_runs(runs) == tuple(move for _, move, _ in want_steps)
     assert all(runs[1:]) and (not runs or runs[-1])
-    # the run count bound argued in ancestor_runs: F(len(runs)) <= max(1, 1/Im z)
+    # the run count bounds argued in ancestor_runs: F(len(runs)) <= max(1, 1/Im z), and
+    # the sharper F(len(runs) - 1) <= c with c^2 Im z Im root <= 1, for c the bottom-left of the runs' matrix
     assert _fibonacci(len(runs)) <= max(1, 1 / z.im)
+    c = complex_forest._run_matrix(runs, p)[2]
+    assert c * c * z.im * root.im <= 1 and _fibonacci(len(runs) - 1) <= c
     chain_root, steps = ancestor_chain(z, p)
     assert chain_root == want_root and steps.runs == runs
     check_reads_as(steps, [ChainStep(*step) for step in want_steps])
     assert replay_chain(root, steps, p) == z
+
+
+@pytest.mark.parametrize("root", [gr(1, 1), gr(Fraction(1, 2), Fraction(1, 2))], ids=["1+i", "1/2+i/2"])
+def test_alternating_runs_of_one_meet_the_sharp_run_count_bound(root):
+    # F(j - 1)^2 Im z Im root <= 1 for j runs, and runs of 1 keep it above 1/30
+    # (it settles near 0.106 from 1 + i and 0.053 to 0.064 from 1/2 + i/2)
+    for j in range(2, 41):
+        z = root
+        for i in reversed(range(j)):
+            z = apply_complex_move(z, LEFT if i % 2 else RIGHT, P11)
+        assert ancestor_runs(z, P11) == (root, (1,) * j)
+        assert Fraction(1, 30) <= _fibonacci(j - 1) ** 2 * z.im * root.im <= 1
 
 
 @st.composite
@@ -236,13 +252,12 @@ def test_ancestor_runs_checks_its_replay(monkeypatch):
         with pytest.raises(InternalInvariantError, match="do not give back"):
             ancestor_runs(z, P11)
     # a planted root that its runs carry back to z, but that is not an orphan
-    parts = complex_forest._parts
     with pytest.raises(InternalInvariantError, match="ends at"):
-        complex_forest._certify(parts(z), parts(gr(Fraction(3, 2), 1)), (1,), P11)
+        complex_forest._certify(z, gr(Fraction(3, 2), 1), (1,), P11)
     # the orphan root, with runs that carry it back to z but are not the walk's
     with pytest.raises(InternalInvariantError, match="ends at"):
-        complex_forest._certify(parts(z), parts(gr(Fraction(1, 2), 1)), (1, 0, 1), P11)
-    complex_forest._certify(parts(z), parts(gr(Fraction(1, 2), 1)), (2,), P11)
+        complex_forest._certify(z, gr(Fraction(1, 2), 1), (1, 0, 1), P11)
+    complex_forest._certify(z, gr(Fraction(1, 2), 1), (2,), P11)
 
 
 @st.composite
@@ -268,8 +283,7 @@ def test_certify_refuses_a_left_run_too_long():
     # 1/4 + i/4 has runs (0, 1); a third L-step would bring Im back down,
     # and the certificate refuses the true root with runs (0, 3)
     z = gr(Fraction(1, 4), Fraction(1, 4))
-    parts = complex_forest._parts
     root, runs = ancestor_runs(z, P11)
     assert runs == (0, 1)
     with pytest.raises(InternalInvariantError, match="do not give back"):
-        complex_forest._certify(parts(z), parts(root), (0, 3), P11)
+        complex_forest._certify(z, root, (0, 3), P11)

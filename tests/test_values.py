@@ -20,11 +20,11 @@ Z = GaussianRational(1, 1)
 # (class, field values in order, one other valid value, repr)
 CASES = [
     (Plft, (7, 8, 4, 5), Plft(7, 8, 4, 6), "Plft(a=7, b=8, c=4, d=5)"),
-    (GaussianRational, (Fraction(1, 2), Fraction(1)), GaussianRational(1, 2),
-     "GaussianRational(re=Fraction(1, 2), im=Fraction(1, 1))"),
+    (GaussianRational, (1, 2, 2), GaussianRational(1, 2),
+     "GaussianRational(x=1, y=2, q=2)"),
     (OrphanParams, (1, 2), OrphanParams(2, 1), "OrphanParams(u=1, v=2)"),
     (ChainStep, (Z, "L", Fraction(1, 2)), ChainStep(Z, "R", Fraction(0)),
-     "ChainStep(value=GaussianRational(re=Fraction(1, 1), im=Fraction(1, 1)), move='L', im_increase=Fraction(1, 2))"),
+     "ChainStep(value=GaussianRational(x=1, y=1, q=1), move='L', im_increase=Fraction(1, 2))"),
     (PlftContinuedFraction, ((1, 1, 1), Plft(1, 2, 2, 1)), PlftContinuedFraction((), ORPHAN),
      "PlftContinuedFraction(quotients=(1, 1, 1), tail=Plft(a=1, b=2, c=2, d=1))"),
     (RootReport, (ORPHAN, PlftContinuedFraction((), ORPHAN), False), RootReport(ORPHAN, PlftContinuedFraction((), ORPHAN), True),
@@ -116,3 +116,12 @@ def test_gaussian_rational_keeps_fractions_and_refuses_floats():
         GaussianRational(0.5, 1)
     with pytest.raises(ValueError, match="float"):
         GaussianRational(1, 0.5)
+
+
+def test_gaussian_rational_stores_its_triple_in_lowest_terms():
+    assert GaussianRational(2, 4, 6) == GaussianRational(Fraction(1, 3), Fraction(2, 3))
+    z = GaussianRational(-1, -1, -2)
+    assert (z.x, z.y, z.q) == (1, 1, 2)
+    assert (z.re, z.im) == (Fraction(1, 2), Fraction(1, 2))
+    with pytest.raises(ValueError, match="nonzero int"):
+        GaussianRational(1, 1, 0)
